@@ -23,7 +23,7 @@
  * persists preprocessed B schedules between invocations (GRFC format,
  * runtime/cache_store.hh), so repeated runs skip B-side preprocessing
  * for every tile they have seen before.  --grid-shard i/n runs one
- * contiguous slice of the job list (fleet mode: n processes sharing a
+ * contiguous slice of the job list (n processes sharing a
  * cache file cover the grid disjointly; tables are suppressed and the
  * shards' --json .jsonl files concatenate byte-identically to the
  * unsharded run).  The registered paper experiments (griffin_bench)
@@ -123,7 +123,7 @@ main(int argc, char **argv)
     const bool multi_variant = spec.optionVariants.size() > 1;
     if (spec.shardCount > 1) {
         // A shard holds one slice of the grid; per-slice tables and
-        // geomeans would silently aggregate a partial suite, so fleet
+        // geomeans would silently aggregate a partial suite, so sharded
         // runs emit result rows only (--json, ideally .jsonl so the
         // shards concatenate byte-identically to the unsharded run).
     } else if (cli.getBool("csv")) {

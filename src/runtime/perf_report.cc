@@ -455,9 +455,29 @@ perfGateViolations(const PerfDocument &oldDoc, const PerfDocument &newDoc,
                    double tolerance)
 {
     std::vector<std::string> violations;
+    // Throughput is only comparable at the same parallelism and
+    // fidelity; a mismatch is a violation, not a pass.
+    const auto mismatch = [&violations](const char *field,
+                                        const auto &o, const auto &n) {
+        if (o != n) {
+            std::ostringstream os;
+            os << field << " differs (old " << o << ", new " << n
+               << "); the gate compares like against like";
+            violations.push_back(os.str());
+        }
+    };
+    mismatch("threads", oldDoc.threads, newDoc.threads);
+    mismatch("sample", oldDoc.sample, newDoc.sample);
+    mismatch("rowcap", oldDoc.rowCap, newDoc.rowCap);
+    mismatch("seed", oldDoc.seed, newDoc.seed);
     for (const auto &o : oldDoc.suite) {
         const PerfEntry *n = findEntry(newDoc, o.experiment);
-        if (n == nullptr || o.jobsPerSec <= 0.0)
+        if (n == nullptr) {
+            violations.push_back(o.experiment +
+                                 ": missing from the new document");
+            continue;
+        }
+        if (o.jobsPerSec <= 0.0)
             continue;
         const double floor = o.jobsPerSec * (1.0 - tolerance);
         if (n->jobsPerSec < floor)

@@ -9,7 +9,8 @@
 #  (b) `run --timings` grows elapsed_ms fields; the default does not.
 #  (c) `perf` writes a BENCH_perf.json that `perf --compare` parses,
 #      schema-validates, and renders deltas for (self-compare: every
-#      delta is +0.0%).
+#      delta is +0.0%); perf honours --workset-budget-mb, refuses
+#      --cache-file, and `--gate` fails a kernels-only document.
 #
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DWORK_DIR=<dir> -P telemetry_smoke.cmake
@@ -102,7 +103,7 @@ endif()
 
 execute_process(
     COMMAND "${GRIFFIN_BENCH}" perf fig6 ${fidelity} --threads 2
-            --out "${WORK_DIR}/BENCH_perf.json"
+            --workset-budget-mb 1 --out "${WORK_DIR}/BENCH_perf.json"
     OUTPUT_VARIABLE out4 ERROR_VARIABLE err4 RESULT_VARIABLE rc4)
 if(NOT rc4 EQUAL 0)
     message(FATAL_ERROR "perf run failed (${rc4}):\n${err4}")
@@ -113,6 +114,24 @@ if(NOT perf_doc MATCHES "\"schema\": \"griffin_bench_perf\"")
 endif()
 if(NOT perf_doc MATCHES "\"stages\": \\[")
     message(FATAL_ERROR "perf artifact has no stage breakdown")
+endif()
+# perf honours the budget flags: a 1 MiB workset cache must evict.
+string(REGEX MATCH "\"workset\": {[^}]*\"evictions\": ([0-9]+)"
+       _ "${perf_doc}")
+if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 EQUAL 0)
+    message(FATAL_ERROR "--workset-budget-mb 1 left the perf run's "
+                        "workset cache without evictions:\n${perf_doc}")
+endif()
+
+# A cache file would warm the very sweeps perf times: usage error.
+execute_process(
+    COMMAND "${GRIFFIN_BENCH}" perf fig6 ${fidelity}
+            --cache-file "${WORK_DIR}/warm.grfc"
+            --out "${WORK_DIR}/warm_perf.json"
+    OUTPUT_VARIABLE out_cf ERROR_VARIABLE err_cf RESULT_VARIABLE rc_cf)
+if(NOT rc_cf EQUAL 2 OR NOT err_cf MATCHES "--cache-file")
+    message(FATAL_ERROR "perf --cache-file was not refused (${rc_cf}):\n"
+                        "${err_cf}")
 endif()
 
 execute_process(
@@ -127,5 +146,24 @@ if(NOT out5 MATCHES "\\+0\\.0%")
     message(FATAL_ERROR "self-compare rendered a nonzero delta:\n${out5}")
 endif()
 
+# The gate must fail a document that simulated nothing: a kernels-only
+# artifact at the same fidelity is missing the old document's fig6.
+execute_process(
+    COMMAND "${GRIFFIN_BENCH}" perf --kernels ${fidelity} --threads 2
+            --out "${WORK_DIR}/kernels_only.json"
+    OUTPUT_VARIABLE out6 ERROR_VARIABLE err6 RESULT_VARIABLE rc6)
+if(NOT rc6 EQUAL 0)
+    message(FATAL_ERROR "perf --kernels failed (${rc6}):\n${err6}")
+endif()
+execute_process(
+    COMMAND "${GRIFFIN_BENCH}" perf --compare --gate
+            "${WORK_DIR}/BENCH_perf.json" "${WORK_DIR}/kernels_only.json"
+    OUTPUT_VARIABLE out7 ERROR_VARIABLE err7 RESULT_VARIABLE rc7)
+if(rc7 EQUAL 0 OR NOT err7 MATCHES "fig6: missing")
+    message(FATAL_ERROR "gate passed a kernels-only document (${rc7}):\n"
+                        "${err7}")
+endif()
+
 message(STATUS "telemetry smoke OK: identical rows, six-stage trace, "
-               "opt-in timings, valid perf artifact")
+               "opt-in timings, valid perf artifact, budgeted perf "
+               "caches, failing gate on a kernels-only document")

@@ -2,7 +2,8 @@
  * @file
  * BENCH_perf.json schema: v2 "kernels" section round-trip, v1
  * back-compat (historical seeds keep parsing), strict rejection of
- * malformed sections, and the --gate regression band.
+ * malformed sections, and the --gate checks: regression band,
+ * missing experiments, and threads/fidelity mismatches.
  */
 
 #include <gtest/gtest.h>
@@ -136,10 +137,9 @@ suiteWith(std::initializer_list<std::pair<const char *, double>> rates)
 TEST(PerfReport, GateFlagsOnlyRegressionsBeyondTheBand)
 {
     // a: -9% (inside the band), b: -20% (violation), c: improved,
-    // old-only and new-only experiments never violate.
+    // new-only experiments never violate.
     const PerfDocument old_doc =
-        suiteWith({{"a", 100.0}, {"b", 100.0}, {"c", 10.0},
-                   {"old_only", 50.0}});
+        suiteWith({{"a", 100.0}, {"b", 100.0}, {"c", 10.0}});
     const PerfDocument new_doc =
         suiteWith({{"a", 91.0}, {"b", 80.0}, {"c", 25.0},
                    {"new_only", 1.0}});
@@ -148,6 +148,70 @@ TEST(PerfReport, GateFlagsOnlyRegressionsBeyondTheBand)
         perfGateViolations(old_doc, new_doc, 0.10);
     ASSERT_EQ(violations.size(), 1u);
     EXPECT_EQ(violations[0].rfind("b:", 0), 0u) << violations[0];
+}
+
+TEST(PerfReport, GateFailsAKernelsOnlyDocument)
+{
+    // `perf --kernels` with no experiment names simulates nothing; it
+    // must not pass a gate whose old document holds a suite.
+    const PerfDocument old_doc =
+        suiteWith({{"fig5", 12.0}, {"fig6", 3.0}, {"fig7", 2.0}});
+    PerfDocument new_doc;
+    new_doc.kernels.push_back({"le_mask", "scalar", 1000, 1.0, 1.0});
+
+    const auto violations =
+        perfGateViolations(old_doc, new_doc, 0.10);
+    ASSERT_EQ(violations.size(), 3u);
+    const char *names[] = {"fig5", "fig6", "fig7"};
+    for (std::size_t i = 0; i < violations.size(); ++i) {
+        EXPECT_EQ(violations[i].rfind(std::string(names[i]) + ":", 0),
+                  0u)
+            << violations[i];
+        EXPECT_NE(violations[i].find("missing"), std::string::npos)
+            << violations[i];
+    }
+}
+
+TEST(PerfReport, GateFailsWhenAnExperimentIsMissing)
+{
+    const PerfDocument old_doc =
+        suiteWith({{"fig5", 12.0}, {"fig6", 3.0}, {"fig7", 2.0}});
+    const PerfDocument new_doc =
+        suiteWith({{"fig5", 12.0}, {"fig7", 2.0}});
+
+    const auto violations =
+        perfGateViolations(old_doc, new_doc, 0.10);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations[0].rfind("fig6:", 0), 0u) << violations[0];
+}
+
+TEST(PerfReport, GateComparesOnlyLikeAgainstLike)
+{
+    const PerfDocument base = sampleDocument();
+    const auto violationsWith = [&base](auto mutate) {
+        PerfDocument changed = base;
+        mutate(changed);
+        return perfGateViolations(base, changed, 0.10);
+    };
+    const auto expectOne = [](const std::vector<std::string> &v,
+                              const std::string &field) {
+        ASSERT_EQ(v.size(), 1u);
+        EXPECT_EQ(v[0].rfind(field + " differs", 0), 0u) << v[0];
+    };
+    expectOne(violationsWith([](PerfDocument &d) { d.threads = 4; }),
+              "threads");
+    expectOne(violationsWith([](PerfDocument &d) { d.sample = 0.02; }),
+              "sample");
+    expectOne(violationsWith([](PerfDocument &d) { d.rowCap = 8; }),
+              "rowcap");
+    expectOne(violationsWith([](PerfDocument &d) { d.seed = 2; }),
+              "seed");
+    // Every other field (timings, totals, kernels) may differ freely.
+    EXPECT_TRUE(violationsWith([](PerfDocument &d) {
+                    d.totalWallMs *= 3.0;
+                    d.kernels.push_back(
+                        {"le_mask", "scalar", 1000, 1.0, 1.0});
+                }).empty());
 }
 
 TEST(PerfReport, GatePassesOnIdenticalDocuments)
