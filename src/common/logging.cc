@@ -92,13 +92,6 @@ fatalImpl(const char *file, int line, const std::string &msg)
 }
 
 void
-fatalRunImpl(const char *file, int line, const std::string &msg)
-{
-    emit(errorRecord("error", file, line, msg));
-    std::exit(exitRunFailure);
-}
-
-void
 warnImpl(const std::string &msg)
 {
     emit("warn: " + timestamp() + msg + "\n");

@@ -2,9 +2,7 @@
  * @file
  * Status and error reporting in the gem5 tradition.
  *
- * Three error paths with distinct intent — and distinct, documented
- * exit statuses, so scripts (fleet orchestration, CI) can tell them
- * apart without parsing stderr:
+ * Two error paths with distinct intent:
  *   - panic():    an internal invariant was violated — a bug in this
  *                 library, never the user's fault.  Calls std::abort()
  *                 (the process dies with SIGABRT).
@@ -12,10 +10,6 @@
  *                 because of a user error — bad configuration, invalid
  *                 arguments, malformed input files.  Exits with
  *                 exitUsageError (2).
- *   - fatalRun(): a correctly-configured run *failed* — a peer died,
- *                 a fleet run could not complete, an external resource
- *                 vanished mid-flight.  Exits with exitRunFailure (1).
- *                 Retrying may succeed; fixing flags will not.
  *
  * Two status paths:
  *   - warn():   something works but not as well as it should; if odd
@@ -31,21 +25,8 @@
 
 namespace griffin {
 
-/**
- * Process exit statuses, kept distinct per failure class so fleet
- * scripts and CI can branch on $? alone:
- *
- *   0  exitSuccess     the run completed
- *   1  exitRunFailure  fatalRun(): the run started but could not
- *                      complete (peer death, lost connection,
- *                      incomplete fleet coverage) — retryable
- *   2  exitUsageError  fatal(): user/configuration error (bad flags,
- *                      malformed input) — retrying identical
- *                      invocations cannot succeed
- *  SIGABRT (134)       panic(): internal invariant violation (a bug)
- */
-constexpr int exitSuccess = 0;
-constexpr int exitRunFailure = 1;
+/** Exit status of fatal(): retrying the same invocation cannot
+ *  succeed, so scripts can tell usage errors from crashes. */
 constexpr int exitUsageError = 2;
 
 namespace detail {
@@ -68,11 +49,6 @@ concat(Args &&...args)
  *  "fatal: <msg>". */
 [[noreturn]] void fatalImpl(const char *file, int line,
                             const std::string &msg);
-
-/** Terminates via std::exit(exitRunFailure) after printing
- *  "error: <msg>". */
-[[noreturn]] void fatalRunImpl(const char *file, int line,
-                               const std::string &msg);
 
 void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
@@ -99,20 +75,6 @@ fatal(Args &&...args)
 {
     detail::fatalImpl(__FILE__, __LINE__,
                       detail::concat(std::forward<Args>(args)...));
-}
-
-/**
- * Exit(exitRunFailure) when a correctly-configured run cannot
- * complete: a fleet peer died past recovery, coverage cannot close,
- * an external resource vanished mid-run.  Distinct from fatal() so
- * orchestration can retry run failures but not usage errors.
- */
-template <typename... Args>
-[[noreturn]] void
-fatalRun(Args &&...args)
-{
-    detail::fatalRunImpl(__FILE__, __LINE__,
-                         detail::concat(std::forward<Args>(args)...));
 }
 
 /** Non-fatal warning to stderr. */

@@ -100,25 +100,6 @@ expandSweep(const SweepSpec &spec)
         jobs.erase(jobs.begin(),
                    jobs.begin() + static_cast<std::ptrdiff_t>(lo));
     }
-    if (spec.rangeBegin != 0 || spec.rangeEnd != SweepSpec::rangeNpos) {
-        // Explicit lease slice.  Bounds outside the expanded list mean
-        // the leasing coordinator and this process expanded different
-        // grids — fail loudly rather than silently running a wrong or
-        // empty slice.
-        const std::size_t hi = spec.rangeEnd == SweepSpec::rangeNpos
-                                   ? jobs.size()
-                                   : spec.rangeEnd;
-        if (hi > jobs.size() || spec.rangeBegin > hi)
-            fatal("sweep job range [", spec.rangeBegin, ", ", hi,
-                  ") out of bounds for ", jobs.size(),
-                  " expanded jobs — coordinator and worker expanded "
-                  "different grids?");
-        jobs.erase(jobs.begin() + static_cast<std::ptrdiff_t>(hi),
-                   jobs.end());
-        jobs.erase(jobs.begin(),
-                   jobs.begin() +
-                       static_cast<std::ptrdiff_t>(spec.rangeBegin));
-    }
     return jobs;
 }
 

@@ -167,7 +167,7 @@ struct SweepSpec
     bool collectTimings = false;
 
     /**
-     * Fleet sharding: expandSweep() keeps only the shardIndex-th of
+     * Grid sharding: expandSweep() keeps only the shardIndex-th of
      * shardCount contiguous blocks of the (filtered) job list.  Blocks
      * partition the list in submission order, so the concatenation of
      * every shard's results in shard order is byte-identical to the
@@ -177,20 +177,6 @@ struct SweepSpec
     std::size_t shardIndex = 0;
     std::size_t shardCount = 1;
 
-    /**
-     * Fleet leases: run only the half-open [rangeBegin, rangeEnd)
-     * slice of the (filtered, sharded) job list.  Unlike the
-     * equal-block --grid-shard split, the bounds are explicit job
-     * indices, so a coordinator can lease arbitrary contiguous chunks
-     * and re-lease them after a worker death.  npos (the default
-     * rangeEnd) means "to the end"; out-of-range bounds are a fatal()
-     * — they mean the two sides expanded different grids (version or
-     * flag skew between coordinator and worker).
-     */
-    static constexpr std::size_t rangeNpos =
-        static_cast<std::size_t>(-1);
-    std::size_t rangeBegin = 0;
-    std::size_t rangeEnd = rangeNpos;
 
     /**
      * Expanded job count of the full cartesian product

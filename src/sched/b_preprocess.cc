@@ -221,7 +221,7 @@ BSchedule::deserialize(std::istream &is, BSchedule &out)
                            static_cast<std::size_t>(s.cols_);
     s.flatk_.resize(cells);
     for (auto &v : s.flatk_)
-        if (!getI64(is, v))
+        if (!getI64(is, v) || v < -1)
             return false;
     s.homecol_.resize(cells);
     for (auto &v : s.homecol_) {

@@ -1,7 +1,6 @@
 #include "sched/dual_scheduler.hh"
 
 #include <algorithm>
-#include <limits>
 
 #include "common/arena.hh"
 #include "sched/window_scheduler.hh"
@@ -11,8 +10,34 @@ namespace griffin {
 
 namespace {
 
-constexpr std::int64_t kDrained =
-    std::numeric_limits<std::int64_t>::max();
+/**
+ * Spread table for the stream-slice build: entry `mask` holds, for a
+ * lane-0 element whose A occupancy is `mask`, the column-mask words
+ * with bit m * lanes set for every row m in `mask`.  Shifting left by
+ * the lane index places the element's pairs at m * lanes + l; the
+ * shift never crosses a word because lanes divide 64.  Null when the
+ * geometry does not allow it (rows > 8 or lanes not dividing 64).
+ */
+std::uint64_t *
+buildSpreadTable(Arena &arena, int rows, int lanes, int words)
+{
+    if (rows > 8 || 64 % lanes != 0)
+        return nullptr;
+    const std::size_t masks = std::size_t{1} << rows;
+    auto *table = arena.allocZeroed<std::uint64_t>(
+        masks * static_cast<std::size_t>(words));
+    for (std::size_t mask = 1; mask < masks; ++mask) {
+        for (int m = 0; m < rows; ++m) {
+            if ((mask >> m & 1u) == 0)
+                continue;
+            const int bit = m * lanes;
+            table[mask * static_cast<std::size_t>(words) +
+                  static_cast<std::size_t>(bit >> 6)] |=
+                std::uint64_t{1} << (bit & 63);
+        }
+    }
+    return table;
+}
 
 /**
  * Asynchronous two-level engine for preprocessed dual sparsity.
@@ -25,8 +50,20 @@ constexpr std::int64_t kDrained =
  * references must fit in a (1+da1)(1+db1)-step residency window, whose
  * leading edge streams in at the ASRAM bandwidth.
  *
+ * State is one pending-pair bitmap per (stream entry c, column j):
+ * bit m * lanes + l of pend(c, j) is set while the pair of stream
+ * element (c, l, j) with A row m is unexecuted (Fig. 3 steps 2-3: a
+ * pair exists only where the stream has an element *and* the matching
+ * A operand is nonzero).  A slot (l, m) consumes its pairs in entry
+ * order, so its head is its first pending entry.  Each cycle a column
+ * looks only at the entries of its BBUF window: walking them in order,
+ * `pend & ~seen` is the set of slots whose head sits at that entry,
+ * and those heads execute when the entry's raw span is resident.
+ *
  * Within a column, idle lanes steal across da2 lanes / da3 rows
- * (cross-column routing was already consumed by stage-1 packing).
+ * (cross-column routing was already consumed by stage-1 packing): a
+ * slot that just executed lends its next head when that head is also
+ * inside the window and resident.
  */
 DualSchedule
 schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
@@ -50,95 +87,72 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
     Arena &arena = workArena();
     ArenaScope scope(arena);
 
-    // Fig. 3 steps 2-3: zero masks of A filtered by B's metadata — a
-    // pair survives only where the stream has an element *and* the
-    // matching A operand is nonzero.  The A tile's occupancy masks
-    // (bit m of occA[flat k]) turn the per-pair test into one popcount
-    // per stream element; queues build CSR (count / prefix / fill),
-    // per (lane, row) slot within each column, values ascending entry
-    // indices.
+    // The A tile's occupancy masks (bit m of occA[flat k]) give every
+    // stream element its surviving pairs in one load.  occA[-1] is
+    // zero, so the -1 of an empty stream slot needs no branch.
     const std::int64_t flat_steps = a.steps() * k0;
     auto *occA = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(flat_steps));
+                     static_cast<std::size_t>(flat_steps + 1)) +
+                 1;
+    occA[-1] = 0;
     simd::aTileOccupancy(a.matrix(), a.unitBase(), rows, a.steps(), k0,
                          occA);
 
-    const std::int64_t col_slots =
-        static_cast<std::int64_t>(rows) * lanes;
-    const std::int64_t nslots = col_slots * cols;
-    const auto slot_of = [&](int l, int m, int j) {
-        return (static_cast<std::int64_t>(j) * rows + m) * lanes + l;
+    const int col_slots = rows * lanes;
+    const int words = (col_slots + 63) / 64;
+    const std::int64_t nslots =
+        static_cast<std::int64_t>(col_slots) * cols;
+    auto *pend = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(entries * cols * words));
+    const auto pend_at = [&](std::int64_t c, int j) {
+        return pend + (c * cols + j) * words;
     };
-    auto *offsets = arena.allocZeroed<std::int64_t>(
-        static_cast<std::size_t>(nslots + 1));
-    auto *remaining = arena.allocZeroed<std::int64_t>(
-        static_cast<std::size_t>(entries * cols));
+    const std::uint64_t *spread =
+        buildSpreadTable(arena, rows, lanes, words);
     for (std::int64_t c = 0; c < entries; ++c) {
         for (int j = 0; j < cols; ++j) {
             const std::int64_t *slice = stream.flatKLanes(c, j);
-            std::int64_t pairs = 0;
-            for (int l = 0; l < lanes; ++l) {
-                const auto flat_k = slice[l];
-                if (flat_k < 0)
-                    continue;
-                std::uint64_t mask = occA[flat_k];
-                pairs += simd::popcount64(mask);
-                while (mask != 0) {
-                    const int m = simd::ctz64(mask);
-                    mask &= mask - 1;
-                    ++offsets[slot_of(l, m, j) + 1];
+            std::uint64_t *p = pend_at(c, j);
+            if (spread != nullptr) {
+                for (int w = 0; w < words; ++w) {
+                    std::uint64_t acc = 0;
+                    for (int l = 0; l < lanes; ++l)
+                        acc |= spread[occA[slice[l]] * words + w] << l;
+                    p[w] = acc;
+                }
+            } else {
+                std::fill(p, p + words, 0);
+                for (int l = 0; l < lanes; ++l) {
+                    std::uint64_t mask = occA[slice[l]];
+                    while (mask != 0) {
+                        const int bit = simd::ctz64(mask) * lanes + l;
+                        mask &= mask - 1;
+                        p[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+                    }
                 }
             }
-            remaining[static_cast<std::size_t>(c * cols + j)] = pairs;
+            for (int w = 0; w < words; ++w)
+                out.effectualPairs += simd::popcount64(p[w]);
         }
     }
-    for (std::int64_t s = 0; s < nslots; ++s)
-        offsets[s + 1] += offsets[s];
-    out.effectualPairs = offsets[nslots];
     if (out.effectualPairs == 0)
         return out;
-    auto *values = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(out.effectualPairs));
-    auto *fill = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    for (std::int64_t s = 0; s < nslots; ++s)
-        fill[s] = offsets[s];
-    for (std::int64_t c = 0; c < entries; ++c) {
-        for (int j = 0; j < cols; ++j) {
-            const std::int64_t *slice = stream.flatKLanes(c, j);
-            for (int l = 0; l < lanes; ++l) {
-                const auto flat_k = slice[l];
-                if (flat_k < 0)
-                    continue;
-                std::uint64_t mask = occA[flat_k];
-                while (mask != 0) {
-                    const int m = simd::ctz64(mask);
-                    mask &= mask - 1;
-                    values[fill[slot_of(l, m, j)]++] = c;
-                }
-            }
-        }
-    }
 
-    // Per-slot cursors and head entries (kDrained once empty), per-
-    // column stream pointers, shared raw window.
-    auto *cursor = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    auto *heads = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    for (std::int64_t s = 0; s < nslots; ++s) {
-        cursor[s] = offsets[s];
-        heads[s] = offsets[s] < offsets[s + 1] ? values[offsets[s]]
-                                               : kDrained;
-    }
+    // Per-column stream pointers (first entry with a pending pair),
+    // shared raw window.
+    const auto live = [&](std::int64_t c, int j) {
+        const std::uint64_t *p = pend_at(c, j);
+        for (int w = 0; w < words; ++w)
+            if (p[w] != 0)
+                return true;
+        return false;
+    };
     auto *head =
         arena.allocZeroed<std::int64_t>(static_cast<std::size_t>(cols));
     auto skip_drained = [&](int j) {
         auto &p = head[j];
-        while (p < entries &&
-               remaining[static_cast<std::size_t>(p * cols + j)] == 0) {
+        while (p < entries && !live(p, j))
             ++p;
-        }
     };
     for (int j = 0; j < cols; ++j)
         skip_drained(j);
@@ -148,22 +162,28 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
         std::min<std::int64_t>(abuf_raw_depth - 1, max_raw);
     double bw_budget = 0.0;
 
-    struct Offset { int dl, dr; std::int64_t delta; };
+    struct Offset { int dl, dr, delta; };
     std::vector<Offset> steals;
     for (int dl = 0; dl <= cfg.a.d2; ++dl)
         for (int dr = 0; dr <= cfg.a.d3; ++dr)
             if (dl || dr)
-                steals.push_back(
-                    {dl, dr,
-                     dl + static_cast<std::int64_t>(dr) * lanes});
+                steals.push_back({dl, dr, dl + dr * lanes});
 
-    const simd::KernelTable &kern = simd::kernels();
-    const std::int64_t col_words = (col_slots + 63) / 64;
-    auto *elig = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(col_words));
-    auto *pass1 = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(col_words));
+    // Per-column scratch: the slots seen so far in the window walk,
+    // the heads executed at each window entry, and the slots that
+    // executed this cycle and can still lend their next head.
+    auto *seen = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(words));
+    auto *ran = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(bbuf_depth * words));
+    auto *own = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(words));
+    auto *lend = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(words));
     const std::int64_t *raw_hi = stream.rawHiData();
+    const auto has = [](const std::uint64_t *m, int s) {
+        return (m[s >> 6] >> (s & 63) & 1u) != 0;
+    };
 
     std::int64_t left = out.effectualPairs;
     auto &st = out.stage2;
@@ -172,110 +192,123 @@ schedulePreprocessed(const TileViewA &a, const RoutingConfig &cfg,
         std::int64_t consumed_now = 0;
 
         for (int j = 0; j < cols; ++j) {
-            const std::int64_t base = static_cast<std::int64_t>(j) *
-                                      col_slots;
-            // An entry is executable when it is inside its column's
-            // BBUF window and its raw span has streamed into the ABUF.
-            // The BBUF test is one masked compare over the column's
-            // head entries; the ABUF test then prunes only the
-            // survivors (raw-extent lookups are a gather, left
-            // scalar).
-            const std::int64_t limit = head[j] + bbuf_depth - 1;
-            kern.leMask(heads + base, col_slots, limit, elig);
-            std::int64_t elig_count = 0;
-            for (std::int64_t i = 0; i < col_words; ++i) {
-                std::uint64_t word = elig[i];
-                std::uint64_t keep = word;
-                while (word != 0) {
-                    const int bit = simd::ctz64(word);
-                    word &= word - 1;
-                    const std::int64_t e = heads[base + i * 64 + bit];
-                    if (raw_hi[static_cast<std::size_t>(e * cols + j)] >
-                        frontier)
-                        keep &= ~(std::uint64_t{1} << bit);
-                }
-                elig[i] = keep;
-                elig_count += simd::popcount64(keep);
-            }
-            if (elig_count == 0)
-                continue; // idle slots tallied once per cycle below
-
-            auto consume = [&](std::int64_t src, int j_col, bool own) {
-                const std::int64_t e = heads[src];
-                const std::int64_t next = ++cursor[src];
-                heads[src] =
-                    next < offsets[src + 1] ? values[next] : kDrained;
-                const std::int64_t local = src - base;
-                const std::uint64_t bit = std::uint64_t{1}
-                                          << (local & 63);
-                if (heads[src] > limit ||
-                    raw_hi[static_cast<std::size_t>(heads[src] * cols +
-                                                    j_col)] > frontier) {
-                    elig[local >> 6] &= ~bit;
-                    --elig_count;
-                }
-                --remaining[static_cast<std::size_t>(e * cols + j_col)];
-                --left;
-                ++consumed_now;
-                ++st.ops;
-                if (own)
-                    ++st.ownOps;
-                else
-                    ++st.stolenOps;
-                if (record) {
-                    const int src_lane =
-                        static_cast<int>(local % lanes);
-                    const int src_row =
-                        static_cast<int>(local / lanes % rows);
-                    const auto flat_k =
-                        stream.flatK(e, src_lane, j_col);
-                    out.ops.push_back({flat_k, src_row,
-                                       stream.homeCol(e, src_lane,
-                                                      j_col),
-                                       st.cycles - 1});
-                }
+            const std::int64_t first = head[j];
+            if (first >= entries)
+                continue;
+            const int depth = static_cast<int>(
+                std::min<std::int64_t>(bbuf_depth, entries - first));
+            // An entry's heads are executable when its raw span has
+            // streamed into the ABUF.
+            const auto resident = [&](std::int64_t c) {
+                return raw_hi[static_cast<std::size_t>(c * cols + j)] <=
+                       frontier;
+            };
+            auto emit = [&](std::int64_t e, int local) {
+                const int src_lane = local % lanes;
+                const auto flat_k = stream.flatK(e, src_lane, j);
+                out.ops.push_back({flat_k, local / lanes,
+                                   stream.homeCol(e, src_lane, j),
+                                   st.cycles - 1});
             };
 
-            // Pass 1: own queues.  Ascending set-bit order over the
-            // column mask is ascending (m, l) — local slot index is
-            // m * lanes + l.
-            for (std::int64_t i = 0; i < col_words; ++i) {
-                std::uint64_t word = elig[i];
-                pass1[i] = word;
-                while (word != 0) {
-                    const int bit = simd::ctz64(word);
-                    word &= word - 1;
-                    consume(base + i * 64 + bit, j, true);
+            // Pass 1: every slot whose head is in the window and
+            // resident executes it.
+            std::fill(seen, seen + words, 0);
+            std::fill(own, own + words, 0);
+            for (int d = 0; d < depth; ++d) {
+                std::uint64_t *p = pend_at(first + d, j);
+                std::uint64_t *r = ran + d * words;
+                const bool ok = resident(first + d);
+                for (int w = 0; w < words; ++w) {
+                    const std::uint64_t heads = p[w] & ~seen[w];
+                    seen[w] |= p[w];
+                    r[w] = ok ? heads : 0;
+                    p[w] &= ~r[w];
+                    own[w] |= r[w];
                 }
             }
+            std::int64_t own_ops = 0;
+            for (int w = 0; w < words; ++w)
+                own_ops += simd::popcount64(own[w]);
+            if (own_ops == 0)
+                continue; // idle slots tallied once per cycle below
+            st.ops += own_ops;
+            st.ownOps += own_ops;
+            left -= own_ops;
+            consumed_now += own_ops;
+            if (record) {
+                // Ascending local slot index is ascending (m, l).
+                for (int w = 0; w < words; ++w) {
+                    std::uint64_t word = own[w];
+                    while (word != 0) {
+                        const int bit = simd::ctz64(word);
+                        word &= word - 1;
+                        int d = 0;
+                        while ((ran[d * words + w] >> bit & 1u) == 0)
+                            ++d;
+                        emit(first + d, w * 64 + bit);
+                    }
+                }
+            }
+            if (steals.empty())
+                continue;
 
-            // Pass 2: lane/row stealing within the column.
-            if (!steals.empty() && elig_count > 0) {
-                for (std::int64_t i = 0;
-                     i < col_words && elig_count > 0; ++i) {
-                    std::uint64_t idle = ~pass1[i];
-                    if (i == col_words - 1 && (col_slots & 63) != 0)
-                        idle &= (std::uint64_t{1}
-                                 << (col_slots & 63)) -
-                                1;
-                    while (idle != 0 && elig_count > 0) {
-                        const int bit = simd::ctz64(idle);
-                        idle &= idle - 1;
-                        const std::int64_t local = i * 64 + bit;
-                        const int l = static_cast<int>(local % lanes);
-                        const int m = static_cast<int>(local / lanes);
-                        for (const auto &off : steals) {
-                            if (l + off.dl >= lanes ||
-                                m + off.dr >= rows)
-                                continue;
-                            const std::int64_t src_local =
-                                local + off.delta;
-                            if ((elig[src_local >> 6] >>
-                                 (src_local & 63) & 1u) == 0)
-                                continue;
-                            consume(base + src_local, j, false);
-                            break;
+            // Pass 2: lane/row stealing within the column.  A slot
+            // that executed lends while its new head is in the window
+            // and resident.
+            std::fill(seen, seen + words, 0);
+            std::fill(lend, lend + words, 0);
+            for (int d = 0; d < depth; ++d) {
+                const std::uint64_t *p = pend_at(first + d, j);
+                const bool ok = resident(first + d);
+                for (int w = 0; w < words; ++w) {
+                    if (ok)
+                        lend[w] |= p[w] & ~seen[w] & own[w];
+                    seen[w] |= p[w];
+                }
+            }
+            std::int64_t lenders = 0;
+            for (int w = 0; w < words; ++w)
+                lenders += simd::popcount64(lend[w]);
+            for (int w = 0; w < words && lenders > 0; ++w) {
+                // Bits past col_slots in the last word fail the row
+                // bound below.
+                std::uint64_t idle = ~own[w];
+                while (idle != 0 && lenders > 0) {
+                    const int bit = simd::ctz64(idle);
+                    idle &= idle - 1;
+                    const int local = w * 64 + bit;
+                    const int l = local % lanes;
+                    const int m = local / lanes;
+                    for (const auto &off : steals) {
+                        if (l + off.dl >= lanes || m + off.dr >= rows)
+                            continue;
+                        const int src = local + off.delta;
+                        if (!has(lend, src))
+                            continue;
+                        // Take the lender's head, then find its next
+                        // pending entry in the window.
+                        const std::uint64_t sbit = std::uint64_t{1}
+                                                   << (src & 63);
+                        int d = 0;
+                        while (!has(pend_at(first + d, j), src))
+                            ++d;
+                        pend_at(first + d, j)[src >> 6] &= ~sbit;
+                        if (record)
+                            emit(first + d, src);
+                        ++d;
+                        while (d < depth &&
+                               !has(pend_at(first + d, j), src))
+                            ++d;
+                        if (d == depth || !resident(first + d)) {
+                            lend[src >> 6] &= ~sbit;
+                            --lenders;
                         }
+                        --left;
+                        ++consumed_now;
+                        ++st.ops;
+                        ++st.stolenOps;
+                        break;
                     }
                 }
             }

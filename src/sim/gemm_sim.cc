@@ -181,6 +181,7 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
             }
             stream = it->second.get();
         }
+        ScopedSpan span("dual_schedule");
         auto dual = scheduleDual(va, vb, stage.routing, stage.shuffler,
                                  stream, stage.bw, false);
         sum += dual.cycles;
@@ -288,8 +289,9 @@ simulateGemm(const GemmOperands &operands, const ArchConfig &arch,
                              shuffler, bw,        row_tiles, col_tiles};
 
     {
-        // b_schedule / a_schedule spans nest inside this one; the
-        // trace shows scheduling as sub-slices of tile simulation.
+        // b_schedule / a_schedule / dual_schedule spans nest inside
+        // this one; the trace shows scheduling as sub-slices of tile
+        // simulation.
         ScopedSpan span("tile_sim");
         switch (routing.mode) {
           case SparsityMode::Dense:

@@ -10,6 +10,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "runtime/schedule_cache.hh"
+#include "runtime/telemetry.hh"
 #include "sim/gemm_sim.hh"
 #include "tensor/shuffle.hh"
 #include "tensor/sparsity.hh"
@@ -96,6 +97,32 @@ TEST(GemmSim, DualSpeedupCompoundsBothSparsities)
                                DnnCategory::B);
     EXPECT_GT(dual.speedup(), b_only.speedup());
     EXPECT_LE(dual.speedup(), 9.0); // L = (1+2)(1+2)
+}
+
+TEST(GemmSim, DualSchedulingHasItsOwnSpan)
+{
+    // One dual_schedule span per simulated tile pair, nested inside
+    // the GEMM's single tile_sim span, so a trace attributes the dual
+    // engine separately from the B-stream preprocessing around it.
+    auto t = makeTensors(32, 512, 64, 0.5, 0.6, 19);
+    Telemetry::clear();
+    Telemetry::setMode(Telemetry::Mode::Aggregate);
+    auto r = simulateGemm(t.a, t.b, unboundDram(sparseABStar()),
+                          DnnCategory::AB);
+    const auto stages = Telemetry::stageBreakdown();
+    Telemetry::setMode(Telemetry::Mode::Off);
+    Telemetry::clear();
+
+    std::uint64_t dual_spans = 0, tile_spans = 0;
+    for (const auto &s : stages) {
+        if (s.stage == "dual_schedule")
+            dual_spans = s.count;
+        else if (s.stage == "tile_sim")
+            tile_spans = s.count;
+    }
+    EXPECT_EQ(tile_spans, 1u);
+    EXPECT_GT(r.simulatedTiles, 0);
+    EXPECT_EQ(dual_spans, static_cast<std::uint64_t>(r.simulatedTiles));
 }
 
 TEST(GemmSim, MoreSparsityNeverSlowsTheSameArch)

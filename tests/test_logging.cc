@@ -24,23 +24,11 @@ TEST(LoggingDeathTest, PanicAborts)
 
 TEST(LoggingDeathTest, FatalExitsWithUsageErrorStatus)
 {
-    // fatal() is the user-error path; its status is distinct from
-    // fatalRun()'s so fleet scripts can branch on $? alone.
+    // fatal() is the user-error path; its documented status lets
+    // scripts tell a usage error from a crash on $? alone.
+    EXPECT_EQ(exitUsageError, 2);
     EXPECT_EXIT(fatal("bad config"),
                 testing::ExitedWithCode(exitUsageError), "bad config");
-}
-
-TEST(LoggingDeathTest, FatalRunExitsWithRunFailureStatus)
-{
-    EXPECT_EXIT(fatalRun("worker died"),
-                testing::ExitedWithCode(exitRunFailure), "worker died");
-}
-
-TEST(Logging, ExitStatusesAreDistinctAndDocumented)
-{
-    EXPECT_EQ(exitSuccess, 0);
-    EXPECT_EQ(exitRunFailure, 1);
-    EXPECT_EQ(exitUsageError, 2);
 }
 
 TEST(LoggingDeathTest, AssertFiresOnFalse)
