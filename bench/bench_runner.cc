@@ -7,7 +7,7 @@
  *   ./bench_runner --archs Griffin,SparTen.AB --cats b,ab --threads 4
  *   ./bench_runner --grid "weight_lane_bias=0:1:0.25,seed=1..4"
  *   ./bench_runner --grid "arch=B(2,0,0,off),B(4,0,1,on),category=b"
- *   ./bench_runner --layer-shard --cache-file sweep.grfc
+ *   ./bench_runner --batch-archs false --workset-cache-file sweep.grfw
  *
  * --grid adds named RunOptions axes (weight_lane_bias,
  * act_run_length, sample_fraction, row_cap, seed, enforce_dram_bound)
@@ -17,18 +17,16 @@
  * coordinates, so rows from different variants are distinguishable in
  * the file alone.
  *
- * The merged results are bit-identical for any --threads value — with
- * or without --layer-shard, which splits every network job into
- * per-layer sub-jobs for better pool utilisation.  --cache-file
- * persists preprocessed B schedules between invocations (GRFC format,
- * runtime/cache_store.hh), so repeated runs skip B-side preprocessing
- * for every tile they have seen before.  --grid-shard i/n runs one
- * contiguous slice of the job list (n processes sharing a
- * cache file cover the grid disjointly; tables are suppressed and the
- * shards' --json .jsonl files concatenate byte-identically to the
- * unsharded run).  The registered paper experiments (griffin_bench)
- * remain the curated per-figure views, this one regenerates arbitrary
- * grids.
+ * The merged results are bit-identical for any --threads value, with
+ * or without --batch-archs.  --workset-cache-file persists generated
+ * layer worksets between invocations (GRFW format,
+ * runtime/cache_store.hh), so repeated runs skip operand generation
+ * for every layer they have seen before.  --grid-shard i/n runs one
+ * contiguous slice of the job list (n processes cover the grid
+ * disjointly; tables are suppressed and the shards' --json .jsonl
+ * files concatenate byte-identically to the unsharded run).  The
+ * registered paper experiments (griffin_bench) remain the curated
+ * per-figure views, this one regenerates arbitrary grids.
  */
 
 #include <iostream>
@@ -38,7 +36,6 @@
 #include "common/logging.hh"
 #include "common/strings.hh"
 #include "common/table.hh"
-#include "runtime/cache_store.hh"
 #include "runtime/experiment.hh"
 #include "runtime/grid.hh"
 #include "runtime/result_sink.hh"
@@ -70,9 +67,6 @@ main(int argc, char **argv)
                   "--archs/--networks/--cats)");
     cli.addInt("threads", ThreadPool::hardwareThreads(),
                "worker threads (1 = serial)");
-    cli.addBool("layer-shard", false,
-                "split each network job into per-layer sub-jobs "
-                "(bit-identical results, finer pool granularity)");
     cli.addBool("batch-archs", true,
                 "batch multiple GEMMs per job: all architectures of "
                 "one (network, category, options) grid point share "
@@ -102,7 +96,6 @@ main(int argc, char **argv)
 
     if (!cli.getString("grid").empty())
         spec = GridSpec::parse(cli.getString("grid")).toSweepSpec(spec);
-    spec.shardLayers = cli.getBool("layer-shard");
     spec.batchArchs = cli.getBool("batch-archs");
     parseShardSpec(cli.getString("grid-shard"), spec.shardIndex,
                    spec.shardCount);
@@ -113,12 +106,11 @@ main(int argc, char **argv)
               "(.jsonl, so shard files concatenate to the unsharded "
               "document)");
 
-    ScheduleCache cache;
     WorksetCache worksets;
-    loadCachesFromFlags(cli, cache, worksets);
+    loadCachesFromFlags(cli, worksets);
 
     const int threads = static_cast<int>(cli.getInt("threads"));
-    const auto sweep = runSweep(spec, threads, &cache, &worksets);
+    const auto sweep = runSweep(spec, threads, &worksets);
 
     const bool multi_variant = spec.optionVariants.size() > 1;
     if (spec.shardCount > 1) {
@@ -182,10 +174,9 @@ main(int argc, char **argv)
     }
 
     const auto &cs = sweep.cacheStats();
-    inform("schedule cache: ", cs.hits, " hits / ", cs.misses,
+    inform("schedule memo: ", cs.hits, " hits / ", cs.misses,
            " misses (", Table::num(100.0 * cs.hitRate(), 1),
-           "% hit rate, ", cs.entries, " entries, ", cs.loadHits,
-           " load hits, ", cs.evictions, " evictions)");
+           "% hit rate)");
 
     // Flush the sweep's primary output before the cache save: a
     // fatal() on an unwritable cache path must not discard the
@@ -198,8 +189,7 @@ main(int argc, char **argv)
                cli.getString("json"));
     }
 
-    // Machine-readable cache counters land on stdout: CI asserts the
-    // second run of a cached sweep reports load_hits > 0.
-    saveCachesFromFlags(cli, cache, worksets);
+    // Machine-readable cache counters land on stdout.
+    saveCachesFromFlags(cli, worksets);
     return 0;
 }

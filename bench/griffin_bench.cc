@@ -8,22 +8,20 @@
  *   griffin_bench describe fig5
  *   griffin_bench run fig5 fig6 --threads 8
  *   griffin_bench run --all --sample 0.01 --rowcap 4 --out results.jsonl
- *   griffin_bench run fig5 --grid-shard 0/3 --cache-file shards.grfc \
- *       --out shard0.jsonl
+ *   griffin_bench run fig5 --grid-shard 0/3 --out shard0.jsonl
  *
  * Every experiment accepts the same flag set: fidelity (--sample,
  * --rowcap, --seed, --lanebias; sample/rowcap default to the
- * experiment's tuned fidelity), parallelism (--threads, --layer-shard),
- * grid overrides (--grid, applied over the experiment's own axes),
- * batching (--batch-archs, on by default), cache persistence
- * (--cache-file/--cache-budget-mb for schedules,
- * --workset-cache-file/--workset-budget-mb for generated operand
+ * experiment's tuned fidelity), parallelism (--threads), grid
+ * overrides (--grid, applied over the experiment's own axes), batching
+ * (--batch-archs, on by default), workset-cache persistence
+ * (--workset-cache-file/--workset-budget-mb for generated operand
  * worksets), and output (--csv tables, --json table JSON Lines,
  * --out result-row document: .json/.csv/.jsonl by suffix).
  *
  * Sharding: --grid-shard i/n slices every sweep's job list into
- * n contiguous blocks and runs block i, so n processes sharing a
- * --cache-file cover a grid disjointly.  Sharded runs emit result rows
+ * n contiguous blocks and runs block i, so n processes cover a grid
+ * disjointly.  Sharded runs emit result rows
  * only (a shard's aggregate tables would be wrong); concatenating the
  * shards' --out .jsonl files in shard order is byte-identical to the
  * unsharded file, and
@@ -47,7 +45,6 @@
 #include "common/rng.hh"
 #include "common/strings.hh"
 #include "sched/dag_schedule.hh"
-#include "runtime/cache_store.hh"
 #include "runtime/experiment.hh"
 #include "runtime/perf_report.hh"
 #include "runtime/result_sink.hh"
@@ -243,7 +240,7 @@ benchKernels()
 
 /**
  * `perf` subcommand: run the pinned suite with Aggregate telemetry and
- * fresh caches per experiment (bounded by --cache-budget-mb and
+ * a fresh workset cache per experiment (bounded by
  * --workset-budget-mb), and write the schema-versioned
  * BENCH_perf.json trajectory artifact.  With --kernels, the SIMD
  * kernel micro-benchmarks run too (and alone when no experiment names
@@ -258,14 +255,12 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
     for (const auto &name : suite)
         experimentOrDie(name);
     // A loaded cache file would skip exactly the work being timed.
-    for (const char *flag : {"cache-file", "workset-cache-file"})
-        if (!cli.getString(flag).empty())
-            fatal("perf times cold sweeps; --", flag,
-                  " would warm them from disk (drop the flag)");
+    if (!cli.getString("workset-cache-file").empty())
+        fatal("perf times cold sweeps; --workset-cache-file would warm "
+              "them from disk (drop the flag)");
 
     ExperimentRunConfig config;
     config.threads = static_cast<int>(cli.getInt("threads"));
-    config.layerShard = cli.getBool("layer-shard");
     config.batchArchs = cli.getBool("batch-archs");
     config.run = resolveFidelity(cli, perfDefaultSample,
                                  perfDefaultRowCap);
@@ -283,13 +278,11 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
     for (const auto &name : suite) {
         const Experiment &exp = experimentOrDie(name);
         Telemetry::clear();
-        // Fresh caches per experiment: the artifact's hit rates then
+        // A fresh cache per experiment: the artifact's hit rates then
         // describe each experiment's own reuse, not whatever the
         // previous suite entry happened to warm.
-        ScheduleCache cache;
         WorksetCache worksets;
-        loadCachesFromFlags(cli, cache, worksets);
-        config.cache = &cache;
+        loadCachesFromFlags(cli, worksets);
         config.worksetCache = &worksets;
         const auto outcome = runExperiment(exp, config);
         if (!outcome.hasSweep) {
@@ -309,8 +302,7 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
         for (const auto &stage : Telemetry::stageBreakdown())
             entry.stages.push_back(
                 {stage.stage, stage.count, stage.totalMs()});
-        entry.scheduleCache = outcome.sweep.cacheStats();
-        entry.aScheduleCache = outcome.sweep.aScheduleStats();
+        entry.scheduleMemo = outcome.sweep.cacheStats();
         entry.worksetCache = outcome.sweep.worksetStats();
         doc.suite.push_back(std::move(entry));
     }
@@ -355,9 +347,6 @@ main(int argc, char **argv)
     cli.addInt("threads", ThreadPool::hardwareThreads(),
                "worker threads (1 = serial; results are bit-identical "
                "for any value)");
-    cli.addBool("layer-shard", false,
-                "split each network job into per-layer sub-jobs "
-                "(bit-identical results, finer pool granularity)");
     cli.addBool("batch-archs", true,
                 "batch multiple GEMMs per job: all architectures of "
                 "one (network, category, options) grid point share "
@@ -548,7 +537,6 @@ main(int argc, char **argv)
 
     ExperimentRunConfig config;
     config.threads = static_cast<int>(cli.getInt("threads"));
-    config.layerShard = cli.getBool("layer-shard");
     config.batchArchs = cli.getBool("batch-archs");
     config.collectTimings = cli.getBool("timings");
     config.gridOverride = cli.getString("grid");
@@ -570,10 +558,8 @@ main(int argc, char **argv)
               "(.jsonl, so shard files concatenate to the unsharded "
               "document)");
 
-    ScheduleCache cache;
     WorksetCache worksets;
-    loadCachesFromFlags(cli, cache, worksets);
-    config.cache = &cache;
+    loadCachesFromFlags(cli, worksets);
     config.worksetCache = &worksets;
 
     TableEmitter emitter;
@@ -622,6 +608,6 @@ main(int argc, char **argv)
 
     // Machine-readable cache counters land on stdout: CI and the
     // cache ctests assert warm runs report load_hits > 0.
-    saveCachesFromFlags(cli, cache, worksets);
+    saveCachesFromFlags(cli, worksets);
     return 0;
 }

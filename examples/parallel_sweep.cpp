@@ -2,29 +2,25 @@
  * @file
  * Parallel sweep via the runtime/ subsystem, declared as a named-axis
  * grid: build a GridSpec with the builder API (or pass --grid), shard
- * the expanded jobs across a thread pool — down to one sub-job per
- * network layer — share preprocessed weight schedules between jobs
- * and across process runs, and serialize the merged results as JSON
- * rows that carry their own grid coordinates.
+ * the expanded jobs across a thread pool — one sub-job per (grid
+ * point, network layer), running every architecture of the grid point
+ * — share generated operands and preprocessed weight schedules
+ * between those architectures, and serialize the merged results as
+ * JSON rows that carry their own grid coordinates.
  *
  *   ./parallel_sweep
  *   ./parallel_sweep --grid "weight_lane_bias=0:1:0.25,seed=1..2"
- *   ./parallel_sweep --layer-shard --cache-file sweep.grfc
  *
  * The printed JSON is bit-identical to a --threads 1 run of the same
- * grid, layer-sharded or not: every job (and every layer sub-job)
- * carries an order-independent seed and results merge in submission
- * order, so parallelism never changes the numbers.  A --cache-file is
- * loaded before the sweep and saved after it; a second run then skips
- * B-side preprocessing for every tile the first run packed
- * (cache_store.hh).
+ * grid: every layer sub-job carries an order-independent seed and
+ * results merge in submission order, so parallelism never changes the
+ * numbers.
  */
 
 #include <iostream>
 
 #include "arch/presets.hh"
 #include "common/cli.hh"
-#include "runtime/cache_store.hh"
 #include "runtime/grid.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
@@ -39,21 +35,17 @@ main(int argc, char **argv)
             "work-stealing pool");
     cli.addInt("threads", ThreadPool::hardwareThreads(),
                "worker threads (1 = serial)");
-    cli.addBool("layer-shard", true,
-                "fan each network job out into per-layer sub-jobs");
     cli.addString("grid", "",
                   "replace the built-in grid with a parsed spec, e.g. "
                   "\"arch=Griffin,network=resnet50,weight_lane_bias="
                   "0:1:0.5\"");
-    cli.addString("cache-file", "",
-                  "persist preprocessed B schedules to this GRFC file");
     cli.parse(argc, argv);
 
     // The sweep is a GridSpec: named axes, each a value list, expanded
     // as a cartesian product in declaration order.  A 2-arch x
-    // 2-network x 2-category x 2-lane-bias grid is 16 jobs — and with
-    // layer sharding one sub-job per layer, so even this small grid
-    // keeps every worker busy.  Real studies push more values onto
+    // 2-network x 2-category x 2-lane-bias grid is 16 jobs, run as one
+    // sub-job per (grid point, layer), so even this small grid keeps
+    // every worker busy.  Real studies push more values onto
     // the axes (ranges like "0:1:0.25" and "1..8" expand inline).
     GridSpec grid;
     if (!cli.getString("grid").empty())
@@ -77,37 +69,24 @@ main(int argc, char **argv)
     base.optionVariants = {fast};
 
     SweepSpec spec = grid.toSweepSpec(base);
-    spec.shardLayers = cli.getBool("layer-shard");
-
-    ScheduleCache cache;
-    const auto cache_path = cli.getString("cache-file");
-    if (!cache_path.empty()) {
-        const auto loaded = loadCacheFile(cache_path, cache);
-        std::cerr << "schedule cache: loaded " << loaded
-                  << " entries from " << cache_path << "\n";
-    }
+    spec.batchArchs = true;
 
     const int threads = static_cast<int>(cli.getInt("threads"));
     std::cerr << "running " << spec.jobCount() << " jobs on " << threads
-              << " threads" << (spec.shardLayers ? " (layer-sharded)" : "")
-              << "\n";
+              << " threads\n";
 
-    const auto sweep = runSweep(spec, threads, &cache);
+    const auto sweep = runSweep(spec, threads);
 
-    // Jobs sharing a weight tensor reuse each other's preprocessed
-    // B schedules: every Sparse.B column tile is packed once per
-    // distinct (tile content, borrow window, shuffle) triple — and
-    // with a cache file, once per *lifetime* of the file.
+    // The architectures of one grid point run on the same tensors, so
+    // those sharing a B routing reuse each other's preprocessed
+    // weight schedules: each column tile is packed once per distinct
+    // (tile content, borrow window, shuffle) triple within a sub-job.
+    // Griffin and Sparse.B* pack under different windows, so the
+    // built-in grid reports no hits; a --grid of archs with one B
+    // routing, e.g. "arch=AB(2,0,0,4,0,1,on),AB(1,0,0,4,0,1,on)", does.
     const auto &cs = sweep.cacheStats();
-    std::cerr << "schedule cache: " << cs.hits << " hits, " << cs.misses
-              << " misses, " << cs.entries << " entries, "
-              << cs.loadHits << " load hits\n";
-
-    if (!cache_path.empty()) {
-        const auto stored = saveCacheFile(cache_path, cache);
-        std::cerr << "schedule cache: stored " << stored
-                  << " entries to " << cache_path << "\n";
-    }
+    std::cerr << "schedule memo: " << cs.hits << " hits, " << cs.misses
+              << " misses\n";
 
     // Every row carries its resolved options and grid coordinates
     // ("coords"), so a two-variant sweep stays distinguishable in the

@@ -141,7 +141,7 @@ class Rng
     /**
      * Deterministically fold `salt` into `seed` (splitmix64 finalizer).
      * Order-independent job seeding for the parallel runner and the
-     * content hashing of the schedule cache both flow through this, so
+     * content hashing of the runtime memos both flow through this, so
      * derived streams never depend on which thread asked first.
      */
     static std::uint64_t mixSeed(std::uint64_t seed, std::uint64_t salt);

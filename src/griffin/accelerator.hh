@@ -149,7 +149,7 @@ class Accelerator
      * independent of which layers ran before it — so a network result
      * assembled from per-layer calls in *any* order (or from any
      * thread) is bit-identical to run().  This is the entry point the
-     * runtime/ layer-sharded sweeps fan out over.
+     * runtime/ sweeps fan out over, one sub-job per layer.
      */
     LayerResult runLayer(const NetworkSpec &net, std::size_t layerIndex,
                          DnnCategory cat,

@@ -12,16 +12,12 @@ namespace griffin {
 
 namespace {
 
-constexpr char scheduleMagic[4] = {'G', 'R', 'F', 'C'};
-constexpr char worksetMagic[4] = {'G', 'R', 'F', 'W'};
+constexpr char magic[4] = {'G', 'R', 'F', 'W'};
 
-/** The load half of the store, generic over the cache type (which
- *  names its value via Cache::Value, providing member serialize() and
- *  static deserialize()). */
-template <typename Cache>
+} // namespace
+
 std::size_t
-loadStore(const std::string &path, Cache &cache, const char magic[4],
-          unsigned char expected_version)
+loadWorksetCacheFile(const std::string &path, WorksetCache &cache)
 {
     std::ifstream is(path, std::ios::binary);
     if (!is)
@@ -36,10 +32,10 @@ loadStore(const std::string &path, Cache &cache, const char magic[4],
     }
     char version = 0;
     if (!is.get(version).good() ||
-        static_cast<unsigned char>(version) != expected_version) {
+        static_cast<unsigned char>(version) != worksetFileVersion) {
         warn("cache file '", path, "' is format version ",
              static_cast<int>(static_cast<unsigned char>(version)),
-             ", expected ", static_cast<int>(expected_version),
+             ", expected ", static_cast<int>(worksetFileVersion),
              "; ignoring it");
         return 0;
     }
@@ -51,10 +47,10 @@ loadStore(const std::string &path, Cache &cache, const char magic[4],
 
     std::size_t inserted = 0;
     for (std::uint64_t i = 0; i < count; ++i) {
-        typename Cache::Key key;
-        typename Cache::Value value;
+        CacheKey128 key;
+        LayerWorkset value;
         if (!getU64(is, key.lo) || !getU64(is, key.hi) ||
-            !Cache::Value::deserialize(is, value)) {
+            !LayerWorkset::deserialize(is, value)) {
             warn("cache file '", path, "' is corrupt after ", inserted,
                  " of ", count, " entries; keeping the clean prefix");
             return inserted;
@@ -65,18 +61,15 @@ loadStore(const std::string &path, Cache &cache, const char magic[4],
     return inserted;
 }
 
-/** The save half, same genericity. */
-template <typename Cache>
 std::size_t
-saveStore(const std::string &path, const Cache &cache,
-          const char magic[4], unsigned char version)
+saveWorksetCacheFile(const std::string &path, const WorksetCache &cache)
 {
     // Snapshot and sort by key so equal cache contents always produce
     // a byte-identical file, whatever order the shards iterate.
-    using ValuePtr = std::shared_ptr<const typename Cache::Value>;
-    std::vector<std::pair<typename Cache::Key, ValuePtr>> entries;
+    using ValuePtr = std::shared_ptr<const LayerWorkset>;
+    std::vector<std::pair<CacheKey128, ValuePtr>> entries;
     cache.forEachEntry(
-        [&entries](const typename Cache::Key &key, const ValuePtr &v) {
+        [&entries](const CacheKey128 &key, const ValuePtr &v) {
             entries.emplace_back(key, v);
         });
     std::sort(entries.begin(), entries.end(),
@@ -90,7 +83,7 @@ saveStore(const std::string &path, const Cache &cache,
     if (!os)
         fatal("cannot open cache file '", path, "' for writing");
     os.write(magic, 4);
-    os.put(static_cast<char>(version));
+    os.put(static_cast<char>(worksetFileVersion));
     putU64(os, static_cast<std::uint64_t>(entries.size()));
     for (const auto &[key, value] : entries) {
         putU64(os, key.lo);
@@ -100,32 +93,6 @@ saveStore(const std::string &path, const Cache &cache,
     if (!os)
         fatal("write to cache file '", path, "' failed");
     return entries.size();
-}
-
-} // namespace
-
-std::size_t
-loadCacheFile(const std::string &path, ScheduleCache &cache)
-{
-    return loadStore(path, cache, scheduleMagic, cacheFileVersion);
-}
-
-std::size_t
-saveCacheFile(const std::string &path, const ScheduleCache &cache)
-{
-    return saveStore(path, cache, scheduleMagic, cacheFileVersion);
-}
-
-std::size_t
-loadWorksetCacheFile(const std::string &path, WorksetCache &cache)
-{
-    return loadStore(path, cache, worksetMagic, worksetFileVersion);
-}
-
-std::size_t
-saveWorksetCacheFile(const std::string &path, const WorksetCache &cache)
-{
-    return saveStore(path, cache, worksetMagic, worksetFileVersion);
 }
 
 } // namespace griffin

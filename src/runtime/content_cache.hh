@@ -2,16 +2,15 @@
  * @file
  * Shared policy machinery for the runtime's content-addressed caches.
  *
- * The sweep runner memoizes several pure functions of tensor content —
- * B-side preprocessing, A-side arbiter schedules, and whole layer
- * worksets — and every one of them wants the same cache behaviour:
- * a 128-bit content key, hash-sharded maps behind per-shard mutexes,
- * compute-outside-the-lock misses where the first finisher wins, an
- * optional byte budget with FIFO-per-shard eviction, and load/hit
- * accounting that distinguishes disk-restored entries.  ContentCache
- * holds exactly that policy once; ScheduleCache, AScheduleCache, and
- * WorksetCache are thin typed fronts that only contribute their key
- * derivation and value computation.
+ * The sweep runner shares whole layer worksets across jobs and
+ * threads (workset_cache.hh), which wants a 128-bit content key,
+ * hash-sharded maps behind per-shard mutexes, compute-outside-the-lock
+ * misses where the first finisher wins, an optional byte budget with
+ * FIFO-per-shard eviction, and load/hit accounting that distinguishes
+ * disk-restored entries.  ContentCache holds that policy; WorksetCache
+ * is a thin typed front that contributes the key derivation and value
+ * computation.  The key type, its hash and CacheStats are shared with
+ * the single-threaded schedule memo (schedule_memo.hh).
  *
  * Values must expose `std::size_t approxBytes() const` (the unit the
  * byte budget and Stats::residentBytes count) and are shared as
@@ -20,7 +19,7 @@
  * hit rate.
  *
  * Keys are 128 bits of splitmix-mixed content hash (ContentHasher);
- * collisions are treated as impossible (the sweep grids these caches
+ * collisions are treated as impossible (the sweep grids these keys
  * serve are ~1e4 entries, collision odds ~1e-30).
  */
 
@@ -58,6 +57,16 @@ struct CacheKey128
     bool operator!=(const CacheKey128 &o) const { return !(*this == o); }
 };
 
+/** Hash-map hasher over a content key (already uniformly mixed). */
+struct CacheKey128Hash
+{
+    std::size_t
+    operator()(const CacheKey128 &k) const
+    {
+        return static_cast<std::size_t>(k.lo);
+    }
+};
+
 /** Aggregate counters (monotone except entries/residentBytes). */
 struct CacheStats
 {
@@ -84,8 +93,8 @@ struct CacheStats
 
 /**
  * Two independently-salted splitmix streams folded over a sequence of
- * words: the shared 128-bit key derivation.  Each cache seeds it with
- * its own salt pair so keys from different caches never share a
+ * words: the shared 128-bit key derivation.  Each key kind seeds it
+ * with its own salt pair so keys of different kinds never share a
  * distribution, then folds every input its computation depends on.
  */
 class ContentHasher
@@ -157,7 +166,6 @@ class ContentCache
   public:
     using Key = CacheKey128;
     using Stats = CacheStats;
-    using Value = V;
 
     explicit ContentCache(std::size_t shards = 16)
     {
@@ -287,15 +295,6 @@ class ContentCache
     }
 
   private:
-    struct KeyHash
-    {
-        std::size_t
-        operator()(const Key &k) const
-        {
-            return static_cast<std::size_t>(k.lo);
-        }
-    };
-
     struct Entry
     {
         std::shared_ptr<const V> value;
@@ -306,7 +305,7 @@ class ContentCache
     struct Shard
     {
         mutable Mutex mu;
-        std::unordered_map<Key, Entry, KeyHash> entries
+        std::unordered_map<Key, Entry, CacheKey128Hash> entries
             GRIFFIN_GUARDED_BY(mu);
         /** Insertion order, for eviction. */
         std::deque<Key> fifo GRIFFIN_GUARDED_BY(mu);

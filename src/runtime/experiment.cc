@@ -232,13 +232,12 @@ runExperiment(const Experiment &exp, const ExperimentRunConfig &config)
     if (exp.setup) {
         SweepSpec spec = buildExperimentSpec(exp, config.run,
                                              config.gridOverride);
-        spec.shardLayers = config.layerShard;
         spec.batchArchs = config.batchArchs;
         spec.collectTimings = config.collectTimings;
         spec.shardIndex = config.shardIndex;
         spec.shardCount = config.shardCount;
-        outcome.sweep = runSweep(spec, config.threads, config.cache,
-                                 config.worksetCache);
+        outcome.sweep =
+            runSweep(spec, config.threads, config.worksetCache);
         outcome.spec = std::move(spec);
         outcome.hasSweep = true;
         ctx.spec = &outcome.spec;
@@ -285,12 +284,6 @@ resolveFidelity(const Cli &cli, double default_sample,
 void
 addCacheFlags(Cli &cli)
 {
-    cli.addString("cache-file", "",
-                  "persist preprocessed B schedules to this GRFC file "
-                  "(loaded before the run, saved after)");
-    cli.addInt("cache-budget-mb", 0,
-               "schedule-cache byte budget in MiB (0 = unbounded; "
-               "oldest entries evicted FIFO per shard)");
     cli.addString("workset-cache-file", "",
                   "persist generated layer worksets to this GRFW file "
                   "(loaded before the run, saved after)");
@@ -302,36 +295,17 @@ addCacheFlags(Cli &cli)
                "is bounded)");
 }
 
-namespace {
-
-std::uint64_t
-budgetFromFlag(const Cli &cli, const char *flag)
-{
-    const auto budget_mb = cli.getInt(flag);
-    if (budget_mb < 0)
-        fatal("--", flag, " must be non-negative, got ", budget_mb);
-    return static_cast<std::uint64_t>(budget_mb) << 20;
-}
-
-} // namespace
-
 void
-loadCachesFromFlags(const Cli &cli, ScheduleCache &schedules,
-                    WorksetCache &worksets)
+loadCachesFromFlags(const Cli &cli, WorksetCache &worksets)
 {
-    const auto schedule_budget = budgetFromFlag(cli, "cache-budget-mb");
-    if (schedule_budget > 0)
-        schedules.setByteBudget(schedule_budget);
-    const auto workset_budget =
-        budgetFromFlag(cli, "workset-budget-mb");
-    if (workset_budget > 0)
-        worksets.setByteBudget(workset_budget);
+    const auto budget_mb = cli.getInt("workset-budget-mb");
+    if (budget_mb < 0)
+        fatal("--workset-budget-mb must be non-negative, got ",
+              budget_mb);
+    if (budget_mb > 0)
+        worksets.setByteBudget(static_cast<std::uint64_t>(budget_mb)
+                               << 20);
 
-    const auto schedule_path = cli.getString("cache-file");
-    if (!schedule_path.empty())
-        inform("schedule cache: loaded ",
-               loadCacheFile(schedule_path, schedules),
-               " entries from ", schedule_path);
     const auto workset_path = cli.getString("workset-cache-file");
     if (!workset_path.empty())
         inform("workset cache: loaded ",
@@ -340,16 +314,8 @@ loadCachesFromFlags(const Cli &cli, ScheduleCache &schedules,
 }
 
 void
-saveCachesFromFlags(const Cli &cli, const ScheduleCache &schedules,
-                    const WorksetCache &worksets)
+saveCachesFromFlags(const Cli &cli, const WorksetCache &worksets)
 {
-    const auto schedule_path = cli.getString("cache-file");
-    if (!schedule_path.empty()) {
-        inform("schedule cache: stored ",
-               saveCacheFile(schedule_path, schedules), " entries to ",
-               schedule_path);
-        writeCacheStatsJsonLine(std::cout, schedules.stats());
-    }
     const auto workset_path = cli.getString("workset-cache-file");
     if (!workset_path.empty()) {
         inform("workset cache: stored ",

@@ -12,9 +12,10 @@
  *     SweepSpec it expands over — from the resolved RunOptions.  The
  *     driver expands the plan and executes it through runSweep, so
  *     every registered experiment is parallel (`--threads`), cache-
- *     aware (`--cache-file`), and fleet-shardable (`--grid-shard i/n`)
- *     for free.  A null setup declares a render-only experiment (the
- *     static paper tables) that runs no sweep.
+ *     aware (`--workset-cache-file`), and shardable across processes
+ *     (`--grid-shard i/n`) for free.  A null setup declares a
+ *     render-only experiment (the static paper tables) that runs no
+ *     sweep.
  *
  *   - `render` reduces the merged SweepResult into the experiment's
  *     Table(s).  SweepResult::slice plus the ExperimentContext geomean
@@ -143,7 +144,6 @@ struct ExperimentRunConfig
 {
     RunOptions run;
     int threads = 1;
-    bool layerShard = false;
     /** Batch multiple GEMMs per job: one sub-job per layer sweeps
      *  every architecture of a (network, category, options) grid
      *  point, so worksets generate once per point (see
@@ -158,8 +158,6 @@ struct ExperimentRunConfig
     /** --grid override text, applied over the experiment's expanded
      *  spec (empty = none). */
     std::string gridOverride;
-    /** Shared schedule cache; null = per-run cache. */
-    ScheduleCache *cache = nullptr;
     /** Shared workset cache; null = per-run cache. */
     WorksetCache *worksetCache = nullptr;
 };
@@ -190,9 +188,9 @@ SweepSpec buildExperimentSpec(const Experiment &experiment,
                               const std::string &gridOverride = "");
 
 /**
- * Execute one experiment: expand its plan (grid override, fleet
- * sharding, layer sharding, arch batching applied), run the sweep on
- * the pool, and render.  Render-only experiments skip straight to
+ * Execute one experiment: expand its plan (grid override, grid
+ * sharding, arch batching applied), run the sweep on the pool, and
+ * render.  Render-only experiments skip straight to
  * render.
  */
 ExperimentOutcome runExperiment(const Experiment &experiment,
@@ -229,30 +227,26 @@ void parseShardSpec(const std::string &text, std::size_t &index,
                     std::size_t &count);
 
 /**
- * Declare the shared cache persistence/budget flags (--cache-file,
- * --cache-budget-mb, --workset-cache-file, --workset-budget-mb), the
- * same set for every sweep driver.
+ * Declare the shared workset-cache flags (--workset-cache-file,
+ * --workset-budget-mb), the same set for every sweep driver.
  */
 void addCacheFlags(Cli &cli);
 
 /**
- * Read the cache flags back: validate and apply the byte budgets and
- * load any cache files into the caller's caches (inform() per load).
- * fatal() on a negative budget.
+ * Read the cache flags back: validate and apply the byte budget and
+ * load the cache file, if any, into the caller's cache (inform() on
+ * load).  fatal() on a negative budget.
  */
-void loadCachesFromFlags(const Cli &cli, ScheduleCache &schedules,
-                         WorksetCache &worksets);
+void loadCachesFromFlags(const Cli &cli, WorksetCache &worksets);
 
 /**
- * The save half: store each cache to its flagged file (when given) and
- * print its machine-readable stats line on stdout — "cache_stats" for
- * the schedule cache, then "workset_cache_stats" — the lines CI and
- * the cache ctests assert warm-run load_hits on.  Call after flushing
- * result sinks: a fatal() on an unwritable cache path must not
- * discard completed sweeps.
+ * The save half: store the cache to its flagged file (when given) and
+ * print its machine-readable "workset_cache_stats" line on stdout —
+ * the line CI and the cache ctests assert warm-run load_hits on.  Call
+ * after flushing result sinks: a fatal() on an unwritable cache path
+ * must not discard completed sweeps.
  */
-void saveCachesFromFlags(const Cli &cli, const ScheduleCache &schedules,
-                         const WorksetCache &worksets);
+void saveCachesFromFlags(const Cli &cli, const WorksetCache &worksets);
 
 } // namespace griffin
 

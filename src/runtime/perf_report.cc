@@ -77,9 +77,7 @@ writePerfJson(std::ostream &os, const PerfDocument &doc)
         os << "],\n"
            << "      \"caches\": {\n"
            << "        \"schedule\": ";
-        writeCacheObject(os, e.scheduleCache);
-        os << ",\n        \"a_schedule\": ";
-        writeCacheObject(os, e.aScheduleCache);
+        writeCacheObject(os, e.scheduleMemo);
         os << ",\n        \"workset\": ";
         writeCacheObject(os, e.worksetCache);
         os << "\n      }\n    }";
@@ -301,23 +299,17 @@ parsePerfDocument(const std::string &text, PerfDocument &out,
             requireMember(item, "caches", "suite entry", error);
         if (caches == nullptr)
             return false;
+        // v1/v2 documents also carry "a_schedule"; it is ignored.
         const JsonValue *schedule =
             requireMember(*caches, "schedule", "\"caches\"", error);
-        const JsonValue *a_schedule =
-            schedule == nullptr
-                ? nullptr
-                : requireMember(*caches, "a_schedule", "\"caches\"",
-                                error);
         const JsonValue *workset =
-            a_schedule == nullptr
+            schedule == nullptr
                 ? nullptr
                 : requireMember(*caches, "workset", "\"caches\"",
                                 error);
         if (workset == nullptr ||
             !parseCacheObject(*schedule, "\"caches.schedule\"",
-                              e.scheduleCache, error) ||
-            !parseCacheObject(*a_schedule, "\"caches.a_schedule\"",
-                              e.aScheduleCache, error) ||
+                              e.scheduleMemo, error) ||
             !parseCacheObject(*workset, "\"caches.workset\"",
                               e.worksetCache, error))
             return false;

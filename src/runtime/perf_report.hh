@@ -34,9 +34,11 @@ namespace griffin {
 
 constexpr const char *perfSchemaName = "griffin_bench_perf";
 /** v2 added the optional "kernels" micro-benchmark section
- *  (`griffin_bench perf --kernels`); v1 documents — no such key —
- *  still parse, so historical seeds keep working as compare inputs. */
-constexpr int perfSchemaVersion = 2;
+ *  (`griffin_bench perf --kernels`); v3 dropped the always-empty
+ *  "caches.a_schedule" record.  v1 and v2 documents still parse (any
+ *  "a_schedule" record is ignored), so historical seeds keep working
+ *  as compare inputs. */
+constexpr int perfSchemaVersion = 3;
 
 /** One pipeline stage's merged wall-time total within one entry. */
 struct PerfStage
@@ -58,8 +60,7 @@ struct PerfEntry
     std::uint64_t poolSteals = 0;
     double poolBusyMs = 0.0;
     std::vector<PerfStage> stages; ///< stage-name order
-    CacheStats scheduleCache;
-    CacheStats aScheduleCache;
+    CacheStats scheduleMemo;
     CacheStats worksetCache;
 };
 

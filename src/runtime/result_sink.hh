@@ -29,7 +29,6 @@
 #include "common/table.hh"
 #include "griffin/accelerator.hh"
 #include "runtime/runner.hh"
-#include "runtime/schedule_cache.hh"
 
 namespace griffin {
 
@@ -128,12 +127,10 @@ void writeTableJsonLine(std::ostream &os, const Table &table);
  * Content-cache counters as a single-line JSON object
  * ({"<label>": {...}}), load/store accounting included — the
  * machine-readable form of the hit-rate status line the sweep drivers
- * print.  The default label keeps the schedule cache's historical
- * {"cache_stats": ...} line; the workset cache emits
- * "workset_cache_stats" so one stdout stream can carry both.
+ * print (the workset cache's is "workset_cache_stats").
  */
 void writeCacheStatsJsonLine(std::ostream &os, const CacheStats &stats,
-                             const std::string &label = "cache_stats");
+                             const std::string &label);
 
 class MetricsRegistry;
 

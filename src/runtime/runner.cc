@@ -7,6 +7,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "runtime/schedule_memo.hh"
 #include "runtime/telemetry.hh"
 #include "runtime/thread_pool.hh"
 
@@ -104,16 +105,10 @@ expandSweep(const SweepSpec &spec)
 }
 
 SweepResult
-runSweep(const SweepSpec &spec, int threads, ScheduleCache *cache,
-         WorksetCache *worksets)
+runSweep(const SweepSpec &spec, int threads, WorksetCache *worksets)
 {
     auto jobs = expandSweep(spec);
 
-    std::unique_ptr<ScheduleCache> owned_cache;
-    if (cache == nullptr) {
-        owned_cache = std::make_unique<ScheduleCache>();
-        cache = owned_cache.get();
-    }
     std::unique_ptr<WorksetCache> owned_worksets;
     if (worksets == nullptr) {
         // Bounded by default: worksets hold whole weight matrices, and
@@ -124,17 +119,6 @@ runSweep(const SweepSpec &spec, int threads, ScheduleCache *cache,
         owned_worksets->setByteBudget(defaultWorksetByteBudget);
         worksets = owned_worksets.get();
     }
-    // A-side arbiter schedules are cheap to persist but small to win
-    // from across processes; share them per sweep only.
-    AScheduleCache a_cache;
-
-    const auto jobOptions = [&](const SweepJob &job) {
-        RunOptions opt = job.options;
-        opt.sim.scheduleCache = cache;
-        opt.sim.aScheduleCache = &a_cache;
-        opt.worksetCache = worksets;
-        return opt;
-    };
 
     // One Accelerator per architecture, shared read-only by every job.
     std::vector<Accelerator> accelerators;
@@ -164,126 +148,96 @@ runSweep(const SweepSpec &spec, int threads, ScheduleCache *cache,
             std::memory_order_relaxed);
     };
 
-    const std::uint64_t sweep_start_ns = monotonicNowNs();
-    ThreadPool::Stats pool_stats;
-
-    // Each (sub-)job writes only its own slot: no result lock needed,
-    // and the merge is the identity — submission order is result order.
-    std::vector<NetworkResult> results(jobs.size());
+    // Batches in submission order: with batchArchs, the jobs of one
+    // (network, category, options) grid point — the arch axis —
+    // otherwise one job each.
+    std::vector<std::vector<std::size_t>> batches;
     if (spec.batchArchs) {
-        // Batched multi-GEMM jobs: group the jobs of one (network,
-        // category, options) grid point — the arch axis — in
-        // submission order, then run one sub-job per (batch, layer)
-        // that sweeps every architecture of the batch over that
-        // layer's workset while it is warm in the cache.
         std::map<std::tuple<std::size_t, std::size_t, std::size_t>,
                  std::size_t>
             batch_of;
-        std::vector<std::vector<std::size_t>> batches;
         for (std::size_t i = 0; i < jobs.size(); ++i) {
             const auto key =
                 std::make_tuple(jobs[i].networkIndex,
                                 jobs[i].categoryIndex,
                                 jobs[i].optionsIndex);
-            auto [it, fresh] =
-                batch_of.emplace(key, batches.size());
+            auto [it, fresh] = batch_of.emplace(key, batches.size());
             if (fresh)
                 batches.emplace_back();
             batches[it->second].push_back(i);
         }
-        std::vector<std::vector<LayerResult>> layer_results(jobs.size());
+    } else {
         for (std::size_t i = 0; i < jobs.size(); ++i)
-            layer_results[i].resize(
-                spec.networks[jobs[i].networkIndex].layerCount());
-        {
-            ThreadPool pool(threads);
-            for (const auto &batch : batches) {
-                const auto layer_count =
-                    layer_results[batch.front()].size();
-                for (std::size_t l = 0; l < layer_count; ++l) {
-                    pool.submit([&spec, &jobs, &accelerators,
-                                 &layer_results, &jobOptions, &batch,
-                                 &timeInto, l] {
-                        for (const std::size_t i : batch) {
-                            const SweepJob &job = jobs[i];
-                            timeInto(i, [&] {
-                                layer_results[i][l] =
-                                    accelerators[job.archIndex]
-                                        .runLayer(
-                                            spec.networks
-                                                [job.networkIndex],
-                                            l,
-                                            spec.categories
-                                                [job.categoryIndex],
-                                            jobOptions(job));
-                            });
-                        }
-                    });
-                }
-            }
-            pool.wait();
-            pool_stats = pool.stats();
-        }
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const SweepJob &job = jobs[i];
-            results[i] = accelerators[job.archIndex].reduceLayers(
-                spec.networks[job.networkIndex],
-                spec.categories[job.categoryIndex],
-                std::move(layer_results[i]), jobOptions(job));
-        }
-    } else if (spec.shardLayers) {
-        // Layer granularity: one sub-job per (job, layer) pair, all
-        // independent (runLayer derives its stream from the layer index
-        // alone), reduced per job in layer order afterwards.
-        std::vector<std::vector<LayerResult>> layer_results(jobs.size());
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            layer_results[i].resize(
-                spec.networks[jobs[i].networkIndex].layerCount());
-        {
-            ThreadPool pool(threads);
-            for (std::size_t i = 0; i < jobs.size(); ++i) {
-                const auto layer_count = layer_results[i].size();
-                for (std::size_t l = 0; l < layer_count; ++l) {
-                    pool.submit([&spec, &jobs, &accelerators,
-                                 &layer_results, &jobOptions, &timeInto,
-                                 i, l] {
+            batches.push_back({i});
+    }
+
+    const std::uint64_t sweep_start_ns = monotonicNowNs();
+    ThreadPool::Stats pool_stats;
+
+    // One sub-job per (batch, layer): every architecture of the batch
+    // over that layer's workset while it is warm in the cache.  Each
+    // sub-job writes only its own slots, so no result lock is needed
+    // and the merge is the identity — submission order is result
+    // order.
+    std::vector<std::vector<LayerResult>> layer_results(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+        layer_results[i].resize(
+            spec.networks[jobs[i].networkIndex].layerCount());
+    std::size_t sub_jobs = 0;
+    for (const auto &batch : batches)
+        sub_jobs += layer_results[batch.front()].size();
+    std::vector<CacheStats> memo_stats(sub_jobs);
+    {
+        ThreadPool pool(threads);
+        std::size_t s = 0;
+        for (const auto &batch : batches) {
+            const auto layer_count = layer_results[batch.front()].size();
+            for (std::size_t l = 0; l < layer_count; ++l, ++s) {
+                pool.submit([&spec, &jobs, &accelerators, &layer_results,
+                             &memo_stats, &batch, &timeInto, worksets, l,
+                             s] {
+                    // The sub-job's own memo: architectures of the
+                    // batch sharing a B routing pack each weight tile
+                    // once.  Sub-job-local, so its counters do not
+                    // depend on the thread count.
+                    ScheduleMemo memo;
+                    for (const std::size_t i : batch) {
                         const SweepJob &job = jobs[i];
+                        RunOptions opt = job.options;
+                        opt.sim.scheduleMemo = &memo;
+                        opt.worksetCache = worksets;
                         timeInto(i, [&] {
                             layer_results[i][l] =
                                 accelerators[job.archIndex].runLayer(
                                     spec.networks[job.networkIndex], l,
                                     spec.categories[job.categoryIndex],
-                                    jobOptions(job));
+                                    opt);
                         });
-                    });
-                }
-            }
-            pool.wait();
-            pool_stats = pool.stats();
-        }
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const SweepJob &job = jobs[i];
-            results[i] = accelerators[job.archIndex].reduceLayers(
-                spec.networks[job.networkIndex],
-                spec.categories[job.categoryIndex],
-                std::move(layer_results[i]), jobOptions(job));
-        }
-    } else {
-        ThreadPool pool(threads);
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            pool.submit([&spec, &jobs, &accelerators, &results,
-                         &jobOptions, &timeInto, i] {
-                const SweepJob &job = jobs[i];
-                timeInto(i, [&] {
-                    results[i] = accelerators[job.archIndex].run(
-                        spec.networks[job.networkIndex],
-                        spec.categories[job.categoryIndex],
-                        jobOptions(job));
+                    }
+                    memo_stats[s] = memo.stats();
                 });
-            });
+            }
         }
         pool.wait();
         pool_stats = pool.stats();
+    }
+    std::vector<NetworkResult> results(jobs.size());
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const SweepJob &job = jobs[i];
+        results[i] = accelerators[job.archIndex].reduceLayers(
+            spec.networks[job.networkIndex],
+            spec.categories[job.categoryIndex],
+            std::move(layer_results[i]), job.options);
+    }
+
+    CacheStats schedule_stats;
+    for (const CacheStats &m : memo_stats) {
+        schedule_stats.hits += m.hits;
+        schedule_stats.misses += m.misses;
+        if (m.residentBytes > schedule_stats.residentBytes) {
+            schedule_stats.entries = m.entries;
+            schedule_stats.residentBytes = m.residentBytes;
+        }
     }
 
     const std::uint64_t sweep_ns = monotonicNowNs() - sweep_start_ns;
@@ -326,8 +280,7 @@ runSweep(const SweepSpec &spec, int threads, ScheduleCache *cache,
                      ? static_cast<double>(pool_stats.busyNs) /
                            capacity_ns
                      : 0.0);
-        reg.publishCacheStats("schedule_cache", cache->stats());
-        reg.publishCacheStats("a_schedule_cache", a_cache.stats());
+        reg.publishCacheStats("schedule_cache", schedule_stats);
         reg.publishCacheStats("workset_cache", worksets->stats());
         if (!job_elapsed_ms.empty()) {
             Histogram &h = reg.histogram("pool.job_us");
@@ -337,8 +290,8 @@ runSweep(const SweepSpec &spec, int threads, ScheduleCache *cache,
     }
 
     return SweepResult(std::move(jobs), std::move(results),
-                       cache->stats(), worksets->stats(),
-                       a_cache.stats(), std::move(job_elapsed_ms));
+                       schedule_stats, worksets->stats(),
+                       std::move(job_elapsed_ms));
 }
 
 } // namespace griffin

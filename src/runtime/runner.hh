@@ -21,21 +21,20 @@
  * by submission order — so the merged output is bit-identical no
  * matter how many threads ran it or how work-stealing interleaved the
  * jobs.  Accelerator::run is const and shares no mutable state, which
- * is what makes the fan-out safe.  With SweepSpec::shardLayers the
- * fan-out goes one level deeper — one sub-job per network layer via
+ * is what makes the fan-out safe.  Jobs are grouped into batches and
+ * each (batch, layer) pair is one pool sub-job running
  * Accelerator::runLayer, whose streams depend only on (seed, network,
- * layer index) — and the per-job reduce reassembles NetworkResult in
- * layer order, preserving the same bit-identity guarantee.
+ * layer index); the per-job reduce reassembles NetworkResult in layer
+ * order, preserving the same bit-identity guarantee.
  *
- * Caches shared across the sweep memoize the staged pipeline's
- * intermediate artifacts between jobs: B-side preprocessing and A-side
- * arbiter schedules (schedule_cache.hh) and whole layer worksets
- * (workset_cache.hh).  All are optimizations only and do not change
- * any result.  With SweepSpec::batchArchs the runner additionally
- * batches multiple GEMMs per job — every architecture of one
- * (network, category, options) grid point shares one sub-job per
- * layer, so each workset is generated once and swept across the whole
- * arch axis while still warm.
+ * With SweepSpec::batchArchs a batch is every architecture of one
+ * (network, category, options) grid point, so each layer workset is
+ * generated once and swept across the whole arch axis while still
+ * warm; otherwise each job is its own batch.  Two memos skip repeated
+ * work without changing any result: a workset cache shared by the
+ * whole sweep (workset_cache.hh) and a B-schedule memo owned by each
+ * sub-job (schedule_memo.hh), which serves the architectures of one
+ * batch that share a B routing.
  */
 
 #ifndef GRIFFIN_RUNTIME_RUNNER_HH
@@ -47,7 +46,6 @@
 #include <vector>
 
 #include "griffin/accelerator.hh"
-#include "runtime/schedule_cache.hh"
 #include "runtime/workset_cache.hh"
 
 namespace griffin {
@@ -121,17 +119,6 @@ struct SweepSpec
     bool perArchSeeds = false;
 
     /**
-     * When true, every job fans out further into one sub-job per
-     * network layer (Accelerator::runLayer), so even a single-network
-     * sweep saturates the pool.  Each layer's randomness is derived
-     * from (seed, network, layer index) alone and the per-job reduce
-     * (Accelerator::reduceLayers) runs in layer order, so the merged
-     * output stays bit-identical to serial Accelerator::run for any
-     * thread count.
-     */
-    bool shardLayers = false;
-
-    /**
      * When true, the runner batches multiple GEMMs per job: all jobs
      * of one (network, category, options) grid point — i.e. the jobs
      * that differ only along the *architecture* axis — form one batch,
@@ -139,11 +126,11 @@ struct SweepSpec
      * every architecture of the batch over that layer in submission
      * order.  The first architecture generates the layer workset and
      * the rest reuse it straight from the workset cache (same
-     * generation parameters, still warm), so a batched arch-axis sweep
-     * generates each operand tensor once instead of once per design
-     * point.  Batching implies layer-granular sub-jobs, so it subsumes
-     * shardLayers; results stay bit-identical to the unbatched serial
-     * run for any thread count.
+     * generation parameters, still warm), and architectures sharing a
+     * B routing reuse each other's packed weight tiles through the
+     * sub-job's schedule memo.  When false, each job is a batch of
+     * one (still one sub-job per layer).  Results are bit-identical
+     * to serial Accelerator::run either way, for any thread count.
      */
     bool batchArchs = false;
 
@@ -171,8 +158,8 @@ struct SweepSpec
      * shardCount contiguous blocks of the (filtered) job list.  Blocks
      * partition the list in submission order, so the concatenation of
      * every shard's results in shard order is byte-identical to the
-     * unsharded run — N processes sharing a cache file can cover one
-     * grid disjointly (`--grid-shard i/n`).  Defaults run everything.
+     * unsharded run — N processes can cover one grid disjointly
+     * (`--grid-shard i/n`).  Defaults run everything.
      */
     std::size_t shardIndex = 0;
     std::size_t shardCount = 1;
@@ -196,13 +183,11 @@ class SweepResult
     SweepResult() = default;
     SweepResult(std::vector<SweepJob> jobs,
                 std::vector<NetworkResult> results,
-                ScheduleCache::Stats cache_stats,
-                WorksetCache::Stats workset_stats = {},
-                AScheduleCache::Stats a_schedule_stats = {},
+                CacheStats schedule_stats = {},
+                CacheStats workset_stats = {},
                 std::vector<double> job_elapsed_ms = {})
         : jobs_(std::move(jobs)), results_(std::move(results)),
-          cacheStats_(cache_stats), worksetStats_(workset_stats),
-          aScheduleStats_(a_schedule_stats),
+          cacheStats_(schedule_stats), worksetStats_(workset_stats),
           jobElapsedMs_(std::move(job_elapsed_ms))
     {
     }
@@ -230,25 +215,28 @@ class SweepResult
         return out;
     }
 
-    const ScheduleCache::Stats &cacheStats() const { return cacheStats_; }
+    /**
+     * B-schedule memo counters of the sweep: hits and misses summed
+     * over every sub-job's memo; entries and residentBytes are those
+     * of the largest single memo (each is dropped when its sub-job
+     * ends, so nothing stays resident after the sweep).
+     */
+    const CacheStats &cacheStats() const { return cacheStats_; }
 
     /** Workset-cache counters of the sweep (generation reuse). */
-    const WorksetCache::Stats &worksetStats() const
-    {
-        return worksetStats_;
-    }
+    const CacheStats &worksetStats() const { return worksetStats_; }
 
-    /** A-side arbiter-schedule cache counters of the sweep. */
-    const AScheduleCache::Stats &aScheduleStats() const
-    {
-        return aScheduleStats_;
-    }
+    /**
+     * Always empty: A tiles are scheduled fresh, with no cache.  Kept
+     * because the repository benchmark (perfbench/) still reads it.
+     */
+    CacheStats aScheduleStats() const { return {}; }
 
     /**
      * Per-job wall-time in milliseconds, parallel to jobs() — empty
-     * unless the sweep ran with SweepSpec::collectTimings.  Under
-     * layer sharding / arch batching a job's time is the sum of its
-     * sub-jobs' runLayer times (reduce excluded).
+     * unless the sweep ran with SweepSpec::collectTimings.  A job's
+     * time is the sum of its sub-jobs' runLayer times (reduce
+     * excluded).
      */
     const std::vector<double> &jobElapsedMs() const
     {
@@ -258,9 +246,8 @@ class SweepResult
   private:
     std::vector<SweepJob> jobs_;
     std::vector<NetworkResult> results_;
-    ScheduleCache::Stats cacheStats_;
-    WorksetCache::Stats worksetStats_;
-    AScheduleCache::Stats aScheduleStats_;
+    CacheStats cacheStats_;
+    CacheStats worksetStats_;
     std::vector<double> jobElapsedMs_;
 };
 
@@ -272,17 +259,15 @@ std::vector<SweepJob> expandSweep(const SweepSpec &spec);
 
 /**
  * Run the sweep on `threads` workers (1 = serial through the same
- * code path).  Internal schedule and workset caches are shared across
- * jobs; pass `cache` / `worksets` to reuse them across sweeps (or for
- * disk persistence), or nullptr for per-sweep caching — the owned
- * fallback workset cache is bounded at defaultWorksetByteBudget, so
- * a sweep never retains unbounded generated tensors.  An A-side
- * schedule cache is always shared per sweep.  All three are
- * optimizations only: the merged results are bit-identical with or
- * without them.
+ * code path).  A workset cache is shared across jobs; pass `worksets`
+ * to reuse one across sweeps (or for disk persistence), or nullptr
+ * for a per-sweep cache bounded at defaultWorksetByteBudget, so a
+ * sweep never retains unbounded generated tensors.  Every sub-job
+ * owns a fresh B-schedule memo.  Both are optimizations only: the
+ * merged results are bit-identical with or without them, and the
+ * memo counters are the same for any thread count.
  */
 SweepResult runSweep(const SweepSpec &spec, int threads,
-                     ScheduleCache *cache = nullptr,
                      WorksetCache *worksets = nullptr);
 
 } // namespace griffin

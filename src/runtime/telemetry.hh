@@ -6,7 +6,7 @@
  *
  *   - MetricsRegistry: named counters, gauges, and histograms behind
  *     stable references.  The runner publishes its previously ad-hoc
- *     stats here once per sweep — schedule/A-schedule/workset cache
+ *     stats here once per sweep — schedule-memo and workset-cache
  *     counters (content_cache.hh CacheStats), thread-pool
  *     steal/execution totals, jobs-per-second and utilization — so
  *     every consumer (the `--stats` JSON line, `griffin_bench perf`)

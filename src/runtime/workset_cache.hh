@@ -12,10 +12,9 @@
  * parameters (WorksetCache::contentKey) and shares one immutable
  * LayerWorkset across every job that asks.
  *
- * Built on the shared cache policy of content_cache.hh — sharded maps,
+ * Built on the cache policy of content_cache.hh — sharded maps,
  * compute-outside-the-lock generation, FIFO byte budget, load/hit
- * stats — so eviction and accounting behave exactly like the schedule
- * caches.  Worksets can be large (B is a full k x n weight matrix), so
+ * stats.  Worksets can be large (B is a full k x n weight matrix), so
  * bounded deployments should set a byte budget; eviction never changes
  * a result, only regeneration cost.
  *
@@ -53,7 +52,6 @@ class WorksetCache
   public:
     using Key = CacheKey128;
     using Stats = CacheStats;
-    using Value = LayerWorkset;
 
     explicit WorksetCache(std::size_t shards = defaultWorksetShards)
         : cache_(shards)

@@ -1,11 +1,8 @@
 #include "sched/b_preprocess.hh"
 
 #include <algorithm>
-#include <istream>
-#include <ostream>
 
 #include "common/arena.hh"
-#include "common/binio.hh"
 #include "sched/window_scheduler.hh"
 #include "simd/occupancy.hh"
 
@@ -158,92 +155,6 @@ BSchedule::approxBytes() const
            homecol_.size() * sizeof(std::int16_t) +
            (raw_end_.size() + raw_lo_.size() + raw_hi_.size()) *
                sizeof(std::int64_t);
-}
-
-void
-BSchedule::serialize(std::ostream &os) const
-{
-    putI64(os, cycles_);
-    putI64(os, lanes_);
-    putI64(os, cols_);
-    putI64(os, elems_);
-    putI64(os, stats_.cycles);
-    putI64(os, stats_.ops);
-    putI64(os, stats_.ownOps);
-    putI64(os, stats_.stolenOps);
-    putI64(os, stats_.idleSlotCycles);
-    putI64(os, stats_.bwLimitedCycles);
-    for (const auto v : flatk_)
-        putI64(os, v);
-    for (const auto v : homecol_)
-        putI64(os, v);
-    for (const auto v : raw_end_)
-        putI64(os, v);
-    for (const auto v : raw_lo_)
-        putI64(os, v);
-    for (const auto v : raw_hi_)
-        putI64(os, v);
-}
-
-bool
-BSchedule::deserialize(std::istream &is, BSchedule &out)
-{
-    BSchedule s;
-    std::int64_t lanes = 0, cols = 0;
-    if (!getI64(is, s.cycles_) || !getI64(is, lanes) ||
-        !getI64(is, cols) || !getI64(is, s.elems_))
-        return false;
-    // Geometry sanity before sizing any allocation from it: a corrupt
-    // stream must come back as `false`, never as a bad_alloc from a
-    // multi-terabyte resize or a wrapped size_t product.  2^32 cells
-    // (32 GiB of flatk_ alone) is far beyond any real schedule.
-    if (s.cycles_ < 0 || lanes < 0 || lanes > (1 << 20) || cols < 0 ||
-        cols > (1 << 20) || s.elems_ < 0)
-        return false;
-    constexpr std::int64_t maxCells = std::int64_t{1} << 32;
-    if (s.cycles_ > maxCells ||
-        (lanes * cols > 0 && s.cycles_ > maxCells / (lanes * cols)))
-        return false;
-    s.lanes_ = static_cast<int>(lanes);
-    s.cols_ = static_cast<int>(cols);
-    if (!getI64(is, s.stats_.cycles) || !getI64(is, s.stats_.ops) ||
-        !getI64(is, s.stats_.ownOps) ||
-        !getI64(is, s.stats_.stolenOps) ||
-        !getI64(is, s.stats_.idleSlotCycles) ||
-        !getI64(is, s.stats_.bwLimitedCycles))
-        return false;
-
-    const auto cells =
-        static_cast<std::size_t>(s.cycles_) *
-        static_cast<std::size_t>(s.lanes_) *
-        static_cast<std::size_t>(s.cols_);
-    const auto col_cells = static_cast<std::size_t>(s.cycles_) *
-                           static_cast<std::size_t>(s.cols_);
-    s.flatk_.resize(cells);
-    for (auto &v : s.flatk_)
-        if (!getI64(is, v) || v < -1)
-            return false;
-    s.homecol_.resize(cells);
-    for (auto &v : s.homecol_) {
-        std::int64_t wide = 0;
-        if (!getI64(is, wide) || wide < INT16_MIN || wide > INT16_MAX)
-            return false;
-        v = static_cast<std::int16_t>(wide);
-    }
-    s.raw_end_.resize(static_cast<std::size_t>(s.cycles_));
-    for (auto &v : s.raw_end_)
-        if (!getI64(is, v))
-            return false;
-    s.raw_lo_.resize(col_cells);
-    for (auto &v : s.raw_lo_)
-        if (!getI64(is, v))
-            return false;
-    s.raw_hi_.resize(col_cells);
-    for (auto &v : s.raw_hi_)
-        if (!getI64(is, v))
-            return false;
-    out = std::move(s);
-    return true;
 }
 
 } // namespace griffin

@@ -19,7 +19,6 @@
 #define GRIFFIN_SCHED_B_PREPROCESS_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <vector>
 
 #include "arch/routing.hh"
@@ -130,27 +129,10 @@ class BSchedule
 
     /**
      * Approximate resident footprint of this schedule (stream tables
-     * plus raw-extent indices).  The schedule-cache byte budget and the
-     * persistent cache store both count entries in these units.
+     * plus raw-extent indices): the unit of the schedule memo's
+     * residentBytes counter.
      */
     std::size_t approxBytes() const;
-
-    /**
-     * Write the schedule's complete state as fixed-width little-endian
-     * binary: geometry, element count, packing stats, and the stream /
-     * raw-extent tables.  Recorded ops are never serialized (cached
-     * schedules are built with record = false); deserialize() of the
-     * stream reproduces a structurally identical schedule on any
-     * platform.
-     */
-    void serialize(std::ostream &os) const;
-
-    /**
-     * Read one serialize()d schedule.  Returns false (leaving `out`
-     * unspecified) on truncated or structurally inconsistent input —
-     * callers treat that as a corrupt cache file, not a fatal error.
-     */
-    static bool deserialize(std::istream &is, BSchedule &out);
 
   private:
     friend BSchedule preprocessB(const TileViewB &, const Borrow &,

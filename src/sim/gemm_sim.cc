@@ -7,7 +7,7 @@
 #include <vector>
 
 #include "arch/overhead.hh"
-#include "runtime/schedule_cache.hh"
+#include "runtime/schedule_memo.hh"
 #include "runtime/telemetry.hh"
 #include "sched/a_arbiter.hh"
 #include "sched/b_preprocess.hh"
@@ -33,32 +33,19 @@ accumulate(ScheduleStats &into, const ScheduleStats &from)
 }
 
 /**
- * Preprocess one B tile, through the shared cache when the caller
- * provided one.  The returned pointer keeps the schedule alive either
- * way (locally computed streams are wrapped in fresh ownership).
+ * Preprocess one B tile, through the memo when the caller provided
+ * one.  The returned pointer keeps the schedule alive either way
+ * (locally computed streams are wrapped in fresh ownership).
  */
 std::shared_ptr<const BSchedule>
-obtainStream(ScheduleCache *cache, const TileViewB &vb, const Borrow &db,
+obtainStream(ScheduleMemo *memo, const TileViewB &vb, const Borrow &db,
              const Shuffler &shuffler)
 {
     ScopedSpan span("b_schedule");
-    if (cache != nullptr)
-        return cache->obtain(vb, db, shuffler);
+    if (memo != nullptr)
+        return memo->obtain(vb, db, shuffler);
     return std::make_shared<const BSchedule>(
         preprocessB(vb, db, shuffler, false));
-}
-
-/** Arbiter-schedule one A tile, through the shared cache when the
- *  caller provided one (the cached value is the stats record, the only
- *  part single-sparse simulation consumes). */
-ScheduleStats
-obtainAStats(AScheduleCache *cache, const TileViewA &va, const Borrow &da,
-             const Shuffler &shuffler, double advance_cap)
-{
-    ScopedSpan span("a_schedule");
-    if (cache != nullptr)
-        return cache->obtain(va, da, shuffler, advance_cap)->stats;
-    return scheduleA(va, da, shuffler, advance_cap, false).stats;
 }
 
 /** Scale a sampled cycle total back to the full population. */
@@ -101,7 +88,7 @@ simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
     std::int64_t sum = 0;
     for (const auto &t : picks) {
         TileViewB vb(*stage.ops.b, stage.shape, t.row * stage.shape.n0);
-        auto stream = obtainStream(stage.opt.scheduleCache, vb,
+        auto stream = obtainStream(stage.opt.scheduleMemo, vb,
                                    stage.routing.b, stage.shuffler);
         // Runtime is bandwidth-capped even though packing is offline:
         // replaying the stream can consume at most `bw` raw A steps
@@ -132,9 +119,10 @@ simulateSparseA(const ComputeStage &stage, GemmSimResult &result)
     std::int64_t sum = 0;
     for (const auto &t : picks) {
         TileViewA va(*stage.ops.a, stage.shape, t.row * stage.shape.m0);
-        const auto stats =
-            obtainAStats(stage.opt.aScheduleCache, va, stage.routing.a,
-                         stage.shuffler, stage.bw);
+        ScopedSpan span("a_schedule");
+        const auto stats = scheduleA(va, stage.routing.a, stage.shuffler,
+                                     stage.bw, false)
+                               .stats;
         sum += stats.cycles;
         accumulate(result.sched, stats);
     }
@@ -154,9 +142,9 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
     auto picks = sampleTiles(stage.rowTiles, stage.colTiles,
                              stage.opt.sampleFraction,
                              stage.opt.minSampledTiles, stage.opt.seed);
-    // One preprocessed stream per distinct column tile; the per-call
-    // memo short-circuits repeat columns of this GEMM even when no
-    // cross-job cache is attached.  A sorted flat vector beats a
+    // One preprocessed stream per distinct column tile; this per-call
+    // lookup short-circuits repeat columns of this GEMM even when no
+    // schedule memo is attached.  A sorted flat vector beats a
     // node-based map here: a handful of distinct columns, looked up
     // once per sampled tile.
     std::vector<std::pair<std::int64_t,
@@ -175,7 +163,7 @@ simulateDualSparse(const ComputeStage &stage, GemmSimResult &result)
             if (it == streams.end() || it->first != t.col) {
                 it = streams.insert(
                     it, {t.col,
-                         obtainStream(stage.opt.scheduleCache, vb,
+                         obtainStream(stage.opt.scheduleMemo, vb,
                                       stage.routing.b,
                                       stage.shuffler)});
             }

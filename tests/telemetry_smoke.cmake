@@ -10,7 +10,8 @@
 #  (c) `perf` writes a BENCH_perf.json that `perf --compare` parses,
 #      schema-validates, and renders deltas for (self-compare: every
 #      delta is +0.0%); perf honours --workset-budget-mb, refuses
-#      --cache-file, and `--gate` fails a kernels-only document.
+#      --workset-cache-file, and `--gate` fails a kernels-only
+#      document.
 #
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DWORK_DIR=<dir> -P telemetry_smoke.cmake
@@ -126,12 +127,12 @@ endif()
 # A cache file would warm the very sweeps perf times: usage error.
 execute_process(
     COMMAND "${GRIFFIN_BENCH}" perf fig6 ${fidelity}
-            --cache-file "${WORK_DIR}/warm.grfc"
+            --workset-cache-file "${WORK_DIR}/warm.grfw"
             --out "${WORK_DIR}/warm_perf.json"
     OUTPUT_VARIABLE out_cf ERROR_VARIABLE err_cf RESULT_VARIABLE rc_cf)
-if(NOT rc_cf EQUAL 2 OR NOT err_cf MATCHES "--cache-file")
-    message(FATAL_ERROR "perf --cache-file was not refused (${rc_cf}):\n"
-                        "${err_cf}")
+if(NOT rc_cf EQUAL 2 OR NOT err_cf MATCHES "--workset-cache-file")
+    message(FATAL_ERROR "perf --workset-cache-file was not refused "
+                        "(${rc_cf}):\n${err_cf}")
 endif()
 
 execute_process(

@@ -139,7 +139,7 @@ TEST(Accelerator, RunSuiteCoversAllSixNetworks)
 TEST(Accelerator, RunLayerPlusReduceEqualsRun)
 {
     // run() is definitionally the reduce of its per-layer calls; the
-    // layer-sharded runtime sweeps rely on this identity.
+    // per-layer runtime sweeps rely on this identity.
     auto opt = fastOptions();
     Accelerator acc(griffinArch());
     const auto net = networkByName("alexnet");

@@ -431,38 +431,6 @@ TEST(DualAsync, WideTileRecordReplaysToReference)
               referenceTile(a, b, 0, 0, shape));
 }
 
-TEST(DualAsync, CachedStreamRejectsBadEmptyMarker)
-{
-    // The engine loads A occupancy at each stream slot's flat k, with
-    // -1 the only empty marker, so a cached stream holding anything
-    // below -1 is corrupt.
-    Rng rng(81);
-    auto a = randomSparse(4, 256, 0.5, rng);
-    auto b = randomSparse(256, 16, 0.7, rng);
-    const auto cfg = RoutingConfig::sparseAB(2, 1, 1, 2, 0, 1, true);
-    Shuffler sh(cfg.shuffle, kShape.k0);
-    TileViewA va(a, kShape, 0);
-    TileViewB vb(b, kShape, 0);
-    auto stream = preprocessB(vb, cfg.b, sh, false);
-    std::ostringstream os;
-    stream.serialize(os);
-    std::string bytes = os.str();
-
-    std::istringstream good(bytes);
-    BSchedule back;
-    ASSERT_TRUE(BSchedule::deserialize(good, back));
-    const auto want = scheduleDual(va, vb, cfg, sh, &stream, 9.0, false);
-    const auto got = scheduleDual(va, vb, cfg, sh, &back, 9.0, false);
-    EXPECT_EQ(got.cycles, want.cycles);
-    EXPECT_EQ(got.stage2.ops, want.stage2.ops);
-
-    // Ten 8-byte header fields precede the flat-k table; make its
-    // first value -2.
-    bytes.replace(80, 8, "\xfe\xff\xff\xff\xff\xff\xff\xff", 8);
-    std::istringstream bad(bytes);
-    EXPECT_FALSE(BSchedule::deserialize(bad, back));
-}
-
 TEST(DualAsyncDeathTest, MissingStreamPanics)
 {
     Rng rng(79);

@@ -1,7 +1,8 @@
 /**
  * @file
- * BENCH_perf.json schema: v2 "kernels" section round-trip, v1
- * back-compat (historical seeds keep parsing), strict rejection of
+ * BENCH_perf.json schema: v2 "kernels" section round-trip, v3
+ * without "caches.a_schedule", v1/v2 back-compat (historical seeds
+ * keep parsing), strict rejection of
  * malformed sections, and the --gate checks: regression band,
  * missing experiments, and threads/fidelity mismatches.
  */
@@ -93,6 +94,62 @@ TEST(PerfReport, V1DocumentWithoutKernelsStillParses)
     EXPECT_TRUE(back.kernels.empty());
     ASSERT_EQ(back.suite.size(), 1u);
     EXPECT_DOUBLE_EQ(back.suite[0].jobsPerSec, 14.4);
+}
+
+/** A one-experiment perf document as JSON text; `extra_cache` is
+ *  spliced into its "caches" object between "schedule" and
+ *  "workset". */
+std::string
+handWrittenDocument(int version, const std::string &extra_cache)
+{
+    const std::string cache =
+        "{\"hits\": 3, \"misses\": 5, \"hit_rate\": 0.375, "
+        "\"entries\": 5, \"resident_bytes\": 640, \"evictions\": 0, "
+        "\"loaded_entries\": 0, \"load_hits\": 0}";
+    return "{\"schema\": \"griffin_bench_perf\", \"schema_version\": " +
+           std::to_string(version) +
+           ", \"threads\": 2, \"fidelity\": {\"sample\": 0.01, "
+           "\"rowcap\": 4, \"seed\": 1}, \"total_wall_ms\": 9.5, "
+           "\"suite\": [{\"experiment\": \"fig5\", \"jobs\": 144, "
+           "\"wall_ms\": 9, \"jobs_per_sec\": 16, "
+           "\"thread_utilization\": 0.9, "
+           "\"pool\": {\"steals\": 1, \"busy_ms\": 16}, "
+           "\"stages\": [], \"caches\": {\"schedule\": " +
+           cache + ", " + extra_cache + "\"workset\": " + cache + "}}]}";
+}
+
+TEST(PerfReport, DocumentWithoutAScheduleParses)
+{
+    // v3 dropped the always-empty "caches.a_schedule" record: neither
+    // the writer nor the parser may need it.
+    PerfDocument back;
+    std::string error;
+    ASSERT_TRUE(parsePerfDocument(handWrittenDocument(3, ""), back, error))
+        << error;
+    EXPECT_EQ(back.schemaVersion, 3);
+    ASSERT_EQ(back.suite.size(), 1u);
+    EXPECT_EQ(back.suite[0].scheduleMemo.hits, 3u);
+    EXPECT_EQ(back.suite[0].worksetCache.residentBytes, 640u);
+    EXPECT_EQ(renderJson(sampleDocument()).find("a_schedule"),
+              std::string::npos);
+}
+
+TEST(PerfReport, V2DocumentWithAScheduleStillParses)
+{
+    // bench/baselines/BENCH_perf_seed.json-era documents carry the
+    // record; it is read past, not rejected.
+    const std::string a_schedule =
+        "\"a_schedule\": {\"hits\": 0, \"misses\": 6094, "
+        "\"hit_rate\": 0, \"entries\": 6094, \"resident_bytes\": 1, "
+        "\"evictions\": 0, \"loaded_entries\": 0, \"load_hits\": 0}, ";
+    PerfDocument back;
+    std::string error;
+    ASSERT_TRUE(parsePerfDocument(handWrittenDocument(2, a_schedule),
+                                  back, error))
+        << error;
+    EXPECT_EQ(back.schemaVersion, 2);
+    ASSERT_EQ(back.suite.size(), 1u);
+    EXPECT_EQ(back.suite[0].scheduleMemo.misses, 5u);
 }
 
 TEST(PerfReport, MalformedKernelsEntryRejected)

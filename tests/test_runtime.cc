@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the runtime/ subsystem: work-stealing pool semantics,
- * schedule-cache correctness, parallel-vs-serial determinism of the
+ * schedule-memo correctness, parallel-vs-serial determinism of the
  * experiment runner, and result-sink serialization.
  */
 
@@ -11,17 +11,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <thread>
 
 #include "arch/presets.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
-#include "runtime/cache_store.hh"
 #include "runtime/result_sink.hh"
 #include "runtime/runner.hh"
-#include "runtime/schedule_cache.hh"
+#include "runtime/schedule_memo.hh"
 #include "runtime/thread_pool.hh"
 #include "tensor/sparsity.hh"
 
@@ -108,7 +106,7 @@ TEST(ThreadPoolDeathTest, ZeroThreadsIsFatal)
                 "at least 1 thread");
 }
 
-// ---- schedule cache -------------------------------------------------
+// ---- schedule memo --------------------------------------------------
 
 /** Structural equality of two compressed streams. */
 void
@@ -133,7 +131,7 @@ expectSameSchedule(const BSchedule &x, const BSchedule &y)
     }
 }
 
-TEST(ScheduleCache, CachedEqualsFreshlyComputed)
+TEST(ScheduleMemo, MemoizedEqualsFreshlyComputed)
 {
     Rng rng(7);
     auto b = randomSparse(128, 16, 0.8, rng);
@@ -142,17 +140,18 @@ TEST(ScheduleCache, CachedEqualsFreshlyComputed)
     const Borrow db{4, 0, 1};
     Shuffler shuffler(true, shape.k0);
 
-    ScheduleCache cache;
-    auto cached = cache.obtain(vb, db, shuffler);
-    ASSERT_NE(cached, nullptr);
-    EXPECT_EQ(cache.stats().misses, 1u);
-    EXPECT_EQ(cache.stats().hits, 0u);
+    ScheduleMemo memo;
+    auto memoized = memo.obtain(vb, db, shuffler);
+    ASSERT_NE(memoized, nullptr);
+    EXPECT_EQ(memo.stats().misses, 1u);
+    EXPECT_EQ(memo.stats().hits, 0u);
+    EXPECT_EQ(memo.stats().residentBytes, memoized->approxBytes());
 
     const auto fresh = preprocessB(vb, db, shuffler, false);
-    expectSameSchedule(*cached, fresh);
+    expectSameSchedule(*memoized, fresh);
 }
 
-TEST(ScheduleCache, HitsOnIdenticalContentMissesOnDifferent)
+TEST(ScheduleMemo, HitsOnIdenticalContentMissesOnDifferent)
 {
     Rng rng(11);
     auto b1 = randomSparse(96, 16, 0.7, rng);
@@ -162,249 +161,22 @@ TEST(ScheduleCache, HitsOnIdenticalContentMissesOnDifferent)
     const Borrow db{2, 1, 0};
     Shuffler shuffler(false, shape.k0);
 
-    ScheduleCache cache;
-    auto s1 = cache.obtain(TileViewB(b1, shape, 0), db, shuffler);
-    auto s2 = cache.obtain(TileViewB(b2, shape, 0), db, shuffler);
+    ScheduleMemo memo;
+    auto s1 = memo.obtain(TileViewB(b1, shape, 0), db, shuffler);
+    auto s2 = memo.obtain(TileViewB(b2, shape, 0), db, shuffler);
     EXPECT_EQ(s1.get(), s2.get()) << "identical content must share";
-    EXPECT_EQ(cache.stats().hits, 1u);
-    EXPECT_EQ(cache.stats().misses, 1u);
+    EXPECT_EQ(memo.stats().hits, 1u);
+    EXPECT_EQ(memo.stats().misses, 1u);
 
-    cache.obtain(TileViewB(b3, shape, 0), db, shuffler);
-    EXPECT_EQ(cache.stats().misses, 2u);
+    memo.obtain(TileViewB(b3, shape, 0), db, shuffler);
+    EXPECT_EQ(memo.stats().misses, 2u);
 
-    // Same tile, different borrow window: a different schedule.
-    cache.obtain(TileViewB(b1, shape, 0), Borrow{4, 1, 0}, shuffler);
-    EXPECT_EQ(cache.stats().misses, 3u);
-    EXPECT_EQ(cache.stats().entries, 3u);
-}
-
-TEST(ScheduleCache, SharedEntriesSurviveClear)
-{
-    Rng rng(13);
-    auto b = randomSparse(64, 16, 0.6, rng);
-    TileShape shape;
-    Shuffler shuffler(false, shape.k0);
-    ScheduleCache cache;
-    auto held = cache.obtain(TileViewB(b, shape, 0), Borrow{2, 0, 0},
-                             shuffler);
-    cache.clear();
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_GT(held->cycles(), 0); // still alive through shared ownership
-}
-
-TEST(ScheduleCache, ByteBudgetEvictsFifo)
-{
-    Rng rng(19);
-    std::vector<MatrixI8> tiles;
-    for (int i = 0; i < 6; ++i) {
-        Rng tile_rng = rng.fork();
-        tiles.push_back(randomSparse(64, 16, 0.7, tile_rng));
-    }
-    TileShape shape;
-    const Borrow db{2, 0, 0};
-    Shuffler shuffler(false, shape.k0);
-
-    // One shard so the FIFO covers every entry, budget sized to hold
-    // roughly two schedules.
-    ScheduleCache cache(1);
-    auto first = cache.obtain(TileViewB(tiles[0], shape, 0), db,
-                              shuffler);
-    const auto entry_bytes = first->approxBytes();
-    cache.setByteBudget(2 * entry_bytes + entry_bytes / 2);
-
-    for (std::size_t i = 1; i < tiles.size(); ++i)
-        cache.obtain(TileViewB(tiles[i], shape, 0), db, shuffler);
-
-    const auto s = cache.stats();
-    EXPECT_EQ(s.misses, tiles.size());
-    EXPECT_GT(s.evictions, 0u);
-    EXPECT_LT(s.entries, tiles.size());
-    EXPECT_LE(s.residentBytes, 2 * entry_bytes + entry_bytes / 2);
-
-    // The FIFO dropped the oldest tiles: re-requesting tile 0 is a
-    // miss again, and its recomputed schedule matches a fresh pack.
-    auto again = cache.obtain(TileViewB(tiles[0], shape, 0), db,
-                              shuffler);
-    EXPECT_EQ(cache.stats().misses, tiles.size() + 1);
-    expectSameSchedule(
-        *again,
-        preprocessB(TileViewB(tiles[0], shape, 0), db, shuffler, false));
-
-    // Evicted entries held by callers stay alive (shared ownership).
-    EXPECT_GT(first->cycles(), 0);
-}
-
-TEST(ScheduleCache, ZeroBudgetIsUnbounded)
-{
-    Rng rng(23);
-    ScheduleCache cache(1);
-    TileShape shape;
-    Shuffler shuffler(false, shape.k0);
-    for (int i = 0; i < 4; ++i) {
-        Rng tile_rng = rng.fork();
-        auto tile = randomSparse(48, 16, 0.6, tile_rng);
-        cache.obtain(TileViewB(tile, shape, 0), Borrow{2, 0, 0},
-                     shuffler);
-    }
-    EXPECT_EQ(cache.stats().entries, 4u);
-    EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
-// ---- cache persistence ----------------------------------------------
-
-std::string
-tempPath(const std::string &name)
-{
-    return testing::TempDir() + name;
-}
-
-TEST(CacheStore, SaveLoadRoundTripReproducesSchedules)
-{
-    Rng rng(29);
-    std::vector<MatrixI8> tiles;
-    for (int i = 0; i < 5; ++i) {
-        Rng tile_rng = rng.fork();
-        tiles.push_back(randomSparse(96, 16, 0.75, tile_rng));
-    }
-    TileShape shape;
-    const Borrow db{4, 0, 1};
-    Shuffler shuffler(true, shape.k0);
-
-    ScheduleCache warm;
-    for (const auto &tile : tiles)
-        warm.obtain(TileViewB(tile, shape, 0), db, shuffler);
-    ASSERT_EQ(warm.stats().entries, tiles.size());
-
-    const auto path = tempPath("griffin_cache_roundtrip.grfc");
-    EXPECT_EQ(saveCacheFile(path, warm), tiles.size());
-
-    // A fresh cache restored from disk serves every tile without a
-    // single preprocessB call, bit-identically to a fresh pack.
-    ScheduleCache cold;
-    EXPECT_EQ(loadCacheFile(path, cold), tiles.size());
-    EXPECT_EQ(cold.stats().loadedEntries, tiles.size());
-    for (const auto &tile : tiles) {
-        auto restored = cold.obtain(TileViewB(tile, shape, 0), db,
-                                    shuffler);
-        expectSameSchedule(*restored,
-                           preprocessB(TileViewB(tile, shape, 0), db,
-                                       shuffler, false));
-    }
-    EXPECT_EQ(cold.stats().hits, tiles.size());
-    EXPECT_EQ(cold.stats().loadHits, tiles.size());
-    EXPECT_EQ(cold.stats().misses, 0u);
-
-    // Re-saving the restored cache reproduces the file byte for byte
-    // (entries are written sorted by key).
-    const auto path2 = tempPath("griffin_cache_roundtrip2.grfc");
-    EXPECT_EQ(saveCacheFile(path2, cold), tiles.size());
-    std::ifstream f1(path, std::ios::binary);
-    std::ifstream f2(path2, std::ios::binary);
-    std::stringstream b1, b2;
-    b1 << f1.rdbuf();
-    b2 << f2.rdbuf();
-    EXPECT_GT(b1.str().size(), 0u);
-    EXPECT_EQ(b1.str(), b2.str());
-    std::remove(path.c_str());
-    std::remove(path2.c_str());
-}
-
-TEST(CacheStore, MissingFileIsANormalFirstRun)
-{
-    ScheduleCache cache;
-    EXPECT_EQ(loadCacheFile(tempPath("griffin_cache_nonexistent.grfc"),
-                            cache),
-              0u);
-    EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(CacheStore, BadMagicAndVersionAreIgnored)
-{
-    const auto path = tempPath("griffin_cache_bad.grfc");
-    {
-        std::ofstream os(path, std::ios::binary);
-        os << "JUNKJUNKJUNK";
-    }
-    ScheduleCache cache;
-    EXPECT_EQ(loadCacheFile(path, cache), 0u);
-
-    {
-        // Right magic, wrong version byte: whole-file invalidation.
-        std::ofstream os(path, std::ios::binary);
-        os << "GRFC" << '\x7f' << "rest";
-    }
-    EXPECT_EQ(loadCacheFile(path, cache), 0u);
-    EXPECT_EQ(cache.stats().entries, 0u);
-    std::remove(path.c_str());
-}
-
-TEST(CacheStore, TruncatedFileKeepsCleanPrefix)
-{
-    Rng rng(31);
-    TileShape shape;
-    Shuffler shuffler(false, shape.k0);
-    ScheduleCache warm;
-    for (int i = 0; i < 3; ++i) {
-        Rng tile_rng = rng.fork();
-        auto tile = randomSparse(64, 16, 0.7, tile_rng);
-        warm.obtain(TileViewB(tile, shape, 0), Borrow{2, 0, 0},
-                    shuffler);
-    }
-    const auto path = tempPath("griffin_cache_trunc.grfc");
-    saveCacheFile(path, warm);
-
-    // Chop the last bytes off the final entry.
-    std::ifstream in(path, std::ios::binary);
-    std::stringstream whole;
-    whole << in.rdbuf();
-    in.close();
-    const auto bytes = whole.str();
-    {
-        std::ofstream os(path, std::ios::binary | std::ios::trunc);
-        os.write(bytes.data(),
-                 static_cast<std::streamsize>(bytes.size() - 16));
-    }
-    ScheduleCache cold;
-    const auto loaded = loadCacheFile(path, cold);
-    EXPECT_LT(loaded, 3u);
-    EXPECT_EQ(cold.stats().entries, loaded);
-    std::remove(path.c_str());
-}
-
-TEST(ScheduleCache, ConcurrentObtainIsConsistent)
-{
-    Rng rng(17);
-    std::vector<MatrixI8> tiles;
-    for (int i = 0; i < 8; ++i) {
-        Rng tile_rng = rng.fork();
-        tiles.push_back(randomSparse(64, 16, 0.75, tile_rng));
-    }
-    TileShape shape;
-    const Borrow db{4, 0, 1};
-    Shuffler shuffler(true, shape.k0);
-
-    ScheduleCache cache;
-    std::vector<std::shared_ptr<const BSchedule>> seen(64);
-    {
-        ThreadPool pool(4);
-        for (std::size_t i = 0; i < seen.size(); ++i)
-            pool.submit([&, i] {
-                seen[i] = cache.obtain(
-                    TileViewB(tiles[i % tiles.size()], shape, 0), db,
-                    shuffler);
-            });
-        pool.wait();
-    }
-    // Every requester of one tile got a schedule equal to the serial
-    // computation (racing double-computes are allowed, but the content
-    // must match).
-    for (std::size_t i = 0; i < seen.size(); ++i) {
-        const auto fresh = preprocessB(
-            TileViewB(tiles[i % tiles.size()], shape, 0), db, shuffler,
-            false);
-        expectSameSchedule(*seen[i], fresh);
-    }
-    EXPECT_EQ(cache.stats().entries, tiles.size());
+    // Same tile, different borrow window or shuffle setting: a
+    // different schedule.
+    memo.obtain(TileViewB(b1, shape, 0), Borrow{4, 1, 0}, shuffler);
+    memo.obtain(TileViewB(b1, shape, 0), db, Shuffler(true, shape.k0));
+    EXPECT_EQ(memo.stats().misses, 4u);
+    EXPECT_EQ(memo.stats().entries, 4u);
 }
 
 // ---- runner ---------------------------------------------------------
@@ -519,15 +291,11 @@ TEST(Runner, ParallelIsBitIdenticalToSerial)
     EXPECT_EQ(ser.str(), par.str());
 }
 
-TEST(Runner, LayerShardedIsBitIdenticalToSerialAcceleratorRun)
+/** The serial quadruple loop through Accelerator::run: the ground
+ *  truth every runner path must reproduce byte for byte. */
+std::string
+serialAcceleratorDoc(const SweepSpec &spec)
 {
-    // The acceptance bar for layer granularity: layer-sharded sweeps on
-    // 1, 2, and 8 threads all reproduce the serial Accelerator::run
-    // byte for byte.
-    auto spec = smallSweep();
-    spec.shardLayers = true;
-
-    // Ground truth: the serial quadruple loop through run().
     std::vector<NetworkResult> serial;
     for (const auto &opt : spec.optionVariants)
         for (const auto &arch : spec.archs) {
@@ -536,51 +304,45 @@ TEST(Runner, LayerShardedIsBitIdenticalToSerialAcceleratorRun)
                 for (const auto cat : spec.categories)
                     serial.push_back(acc.run(net, cat, opt));
         }
-    std::ostringstream serial_doc;
-    writeJson(serial_doc, serial);
-
-    for (const int threads : {1, 2, 8}) {
-        const auto sweep = runSweep(spec, threads);
-        ASSERT_EQ(sweep.results().size(), serial.size()) << threads;
-        std::ostringstream doc;
-        writeJson(doc, sweep.results());
-        EXPECT_EQ(doc.str(), serial_doc.str())
-            << "layer-sharded sweep diverged on " << threads
-            << " threads";
-    }
+    std::ostringstream doc;
+    writeJson(doc, serial);
+    return doc.str();
 }
 
-TEST(Runner, LayerShardingMatchesNetworkGranularity)
+TEST(Runner, UnbatchedIsBitIdenticalToSerialAcceleratorRun)
 {
+    // One job per batch still fans out into one sub-job per layer;
+    // sweeps on 1, 2, and 8 threads all reproduce the serial
+    // Accelerator::run byte for byte.
     auto spec = smallSweep();
-    const auto whole = runSweep(spec, 4);
-    spec.shardLayers = true;
-    const auto sharded = runSweep(spec, 4);
-    std::ostringstream a, b;
-    writeJson(a, whole.results());
-    writeJson(b, sharded.results());
-    EXPECT_EQ(a.str(), b.str());
+    ASSERT_FALSE(spec.batchArchs);
+    const auto serial_doc = serialAcceleratorDoc(spec);
+    for (const int threads : {1, 2, 8}) {
+        const auto sweep = runSweep(spec, threads);
+        std::ostringstream doc;
+        writeJson(doc, sweep.results());
+        EXPECT_EQ(doc.str(), serial_doc)
+            << "unbatched sweep diverged on " << threads << " threads";
+    }
 }
 
 TEST(Runner, BatchedArchsAreBitIdenticalToSerial)
 {
     // The acceptance bar for batched multi-GEMM jobs: an arch-batched
-    // sweep on 1, 2, and 8 threads reproduces the unbatched serial run
-    // byte for byte, and the shared workset cache actually got reuse
-    // across the arch axis (both archs share the tile height, so every
-    // layer's workset generates once per (network, category)).
+    // sweep on 1, 2, and 8 threads reproduces the serial
+    // Accelerator::run byte for byte, and the shared workset cache
+    // actually got reuse across the arch axis (both archs share the
+    // tile height, so every layer's workset generates once per
+    // (network, category)).
     auto spec = smallSweep();
-    const auto serial = runSweep(spec, 1);
-    std::ostringstream serial_doc;
-    writeJson(serial_doc, serial.results());
+    const auto serial_doc = serialAcceleratorDoc(spec);
 
     spec.batchArchs = true;
     for (const int threads : {1, 2, 8}) {
         const auto batched = runSweep(spec, threads);
-        ASSERT_EQ(batched.results().size(), serial.results().size());
         std::ostringstream doc;
         writeJson(doc, batched.results());
-        EXPECT_EQ(doc.str(), serial_doc.str())
+        EXPECT_EQ(doc.str(), serial_doc)
             << "batched sweep diverged on " << threads << " threads";
         EXPECT_GT(batched.worksetStats().hits, 0u);
         // 2 archs x shared worksets: at most one generation per
@@ -592,6 +354,49 @@ TEST(Runner, BatchedArchsAreBitIdenticalToSerial)
         EXPECT_LE(batched.worksetStats().misses,
                   layer_total * spec.categories.size());
     }
+}
+
+TEST(Runner, ScheduleMemoServesArchsSharingBRouting)
+{
+    // Two dual-sparse archs with the same B routing (window (4,0,1),
+    // shuffle on) see the same weight tiles in one batched sub-job, so
+    // the second packs nothing the first already packed.  The memo
+    // belongs to the sub-job, so its counters are the same for any
+    // thread count; unbatched, each arch has its own memos and there
+    // is nothing to share.
+    SweepSpec spec;
+    spec.archs = {archByName("AB(2,0,0,4,0,1,on)"),
+                  archByName("AB(1,0,0,4,0,1,on)")};
+    spec.networks = {alexNet()};
+    spec.categories = {DnnCategory::AB};
+    RunOptions fast;
+    fast.sim.sampleFraction = 0.02;
+    fast.sim.minSampledTiles = 2;
+    fast.rowCap = 32;
+    spec.optionVariants = {fast};
+    spec.batchArchs = true;
+
+    const auto serial = runSweep(spec, 1);
+    const auto parallel = runSweep(spec, 4);
+    EXPECT_GT(serial.cacheStats().hits, 0u);
+    EXPECT_EQ(parallel.cacheStats().hits, serial.cacheStats().hits);
+    EXPECT_EQ(parallel.cacheStats().misses, serial.cacheStats().misses);
+    EXPECT_EQ(serial.aScheduleStats().hits + serial.aScheduleStats().misses,
+              0u);
+
+    spec.batchArchs = false;
+    const auto unbatched = runSweep(spec, 4);
+    EXPECT_EQ(unbatched.cacheStats().hits, 0u);
+    EXPECT_EQ(unbatched.cacheStats().misses,
+              serial.cacheStats().hits + serial.cacheStats().misses);
+
+    std::ostringstream a, b, c;
+    writeJson(a, serial.results());
+    writeJson(b, parallel.results());
+    writeJson(c, unbatched.results());
+    EXPECT_EQ(a.str(), b.str());
+    EXPECT_EQ(a.str(), c.str());
+    EXPECT_EQ(a.str(), serialAcceleratorDoc(spec));
 }
 
 TEST(Runner, BatchedArchsComposeWithFleetShards)
@@ -619,10 +424,10 @@ TEST(Runner, SharedWorksetCachePersistsAcrossSweeps)
 {
     auto spec = smallSweep();
     WorksetCache worksets;
-    const auto first = runSweep(spec, 2, nullptr, &worksets);
+    const auto first = runSweep(spec, 2, &worksets);
     const auto cold_misses = first.worksetStats().misses;
     EXPECT_GT(cold_misses, 0u);
-    const auto second = runSweep(spec, 2, nullptr, &worksets);
+    const auto second = runSweep(spec, 2, &worksets);
     // Every generation of the second sweep is served by the first's.
     EXPECT_EQ(second.worksetStats().misses, cold_misses);
     std::ostringstream a, b;
@@ -795,8 +600,7 @@ tinyAnnotatedSweep()
     spec.optionCoords = {{{"weight_lane_bias", "0.25"}},
                          {{"weight_lane_bias", "0.75"}}};
     auto jobs = expandSweep(spec);
-    return SweepResult(std::move(jobs), {tinyResult(), tinyResult()},
-                       ScheduleCache::Stats{});
+    return SweepResult(std::move(jobs), {tinyResult(), tinyResult()});
 }
 
 TEST(ResultSink, SweepJsonRowsCarryOptionsAndCoords)
@@ -926,9 +730,8 @@ tinyTimedSweep()
     spec.optionCoords = {{{"weight_lane_bias", "0.25"}},
                          {{"weight_lane_bias", "0.75"}}};
     auto jobs = expandSweep(spec);
-    return SweepResult(std::move(jobs), {tinyResult(), tinyResult()},
-                       ScheduleCache::Stats{}, WorksetCache::Stats{},
-                       AScheduleCache::Stats{}, {1.5, 2.5});
+    return SweepResult(std::move(jobs), {tinyResult(), tinyResult()}, {},
+                       {}, {1.5, 2.5});
 }
 
 TEST(ResultSink, TimedRowsEmitElapsedMs)

@@ -316,8 +316,8 @@ samplePerfDocument()
     entry.poolBusyMs = 372.9;
     entry.stages.push_back({"b_schedule", 24144, 48086.8});
     entry.stages.push_back({"tile_sim", 6648, 48173.5});
-    entry.scheduleCache.hits = 2012;
-    entry.scheduleCache.misses = 22132;
+    entry.scheduleMemo.hits = 2012;
+    entry.scheduleMemo.misses = 22132;
     entry.worksetCache.hits = 6371;
     entry.worksetCache.misses = 277;
     doc.suite.push_back(std::move(entry));
@@ -348,8 +348,8 @@ TEST(PerfReport, WriteParsesBackIdentically)
     ASSERT_EQ(e.stages.size(), 2u);
     EXPECT_EQ(e.stages[0].stage, "b_schedule");
     EXPECT_EQ(e.stages[0].count, 24144u);
-    EXPECT_EQ(e.scheduleCache.hits, 2012u);
-    EXPECT_EQ(e.scheduleCache.misses, 22132u);
+    EXPECT_EQ(e.scheduleMemo.hits, 2012u);
+    EXPECT_EQ(e.scheduleMemo.misses, 22132u);
     EXPECT_EQ(e.worksetCache.hits, 6371u);
 
     // Serialization of equal documents is deterministic.

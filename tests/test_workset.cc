@@ -3,8 +3,9 @@
  * Tests for the stage-1 pipeline artifact (tensor/workset.hh) and its
  * content-addressed cache (runtime/workset_cache.hh): generation
  * determinism, cold-vs-warm bit-identity through Accelerator::runLayer,
- * eviction correctness under a tiny byte budget, serialization
- * round-trips, and the stats surfaced through writeCacheStatsJsonLine.
+ * the shared cache policy (FIFO eviction under a byte budget, zero
+ * budget, clear(), concurrent obtain), serialization round-trips, and
+ * the stats surfaced through writeCacheStatsJsonLine.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include "griffin/accelerator.hh"
 #include "runtime/cache_store.hh"
 #include "runtime/result_sink.hh"
+#include "runtime/thread_pool.hh"
 #include "runtime/workset_cache.hh"
 #include "workloads/network.hh"
 
@@ -196,11 +198,81 @@ TEST(Workset, StatsSurfaceThroughJsonLine)
     EXPECT_NE(line.find("\"evictions\": 1"), std::string::npos);
     EXPECT_NE(line.find("\"load_hits\": 0"), std::string::npos);
     EXPECT_NE(line.find("\"hits\": 1"), std::string::npos);
+}
 
-    // The schedule cache keeps its historical label by default.
-    std::ostringstream os2;
-    writeCacheStatsJsonLine(os2, CacheStats{});
-    EXPECT_EQ(os2.str().rfind("{\"cache_stats\": {", 0), 0u);
+// ---- cache policy (content_cache.hh) --------------------------------
+
+TEST(WorksetCache, ByteBudgetEvictsFifo)
+{
+    // One shard so the FIFO covers every entry, budget sized to hold
+    // two of the (equal-sized) worksets.
+    WorksetCache cache(1);
+    const auto first = cache.obtain(tinyParams(1));
+    const auto entry_bytes = first->approxBytes();
+    const auto budget = 2 * entry_bytes + entry_bytes / 2;
+    cache.setByteBudget(budget);
+    for (std::uint64_t seed = 2; seed <= 6; ++seed)
+        cache.obtain(tinyParams(seed));
+
+    const auto s = cache.stats();
+    EXPECT_EQ(s.misses, 6u);
+    EXPECT_EQ(s.evictions, 4u);
+    EXPECT_EQ(s.entries, 2u);
+    EXPECT_LE(s.residentBytes, budget);
+
+    // Oldest insertions went first: the newest is still resident, the
+    // first is a miss again and regenerates identical content.
+    cache.obtain(tinyParams(6));
+    EXPECT_EQ(cache.stats().hits, 1u);
+    const auto again = cache.obtain(tinyParams(1));
+    EXPECT_EQ(cache.stats().misses, 7u);
+    expectWorksetEq(*again, generateLayerWorkset(tinyParams(1)));
+
+    // Evicted entries held by callers stay alive (shared ownership).
+    expectWorksetEq(*first, *again);
+}
+
+TEST(WorksetCache, ZeroBudgetIsUnbounded)
+{
+    WorksetCache cache(1);
+    cache.setByteBudget(0);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed)
+        cache.obtain(tinyParams(seed));
+    EXPECT_EQ(cache.stats().entries, 4u);
+    EXPECT_EQ(cache.stats().evictions, 0u);
+}
+
+TEST(WorksetCache, SharedEntriesSurviveClear)
+{
+    WorksetCache cache;
+    const auto held = cache.obtain(tinyParams());
+    cache.clear();
+    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(cache.stats().misses, 1u); // counters survive clear()
+    // Still alive through shared ownership.
+    expectWorksetEq(*held, generateLayerWorkset(tinyParams()));
+}
+
+TEST(WorksetCache, ConcurrentObtainIsConsistent)
+{
+    WorksetCache cache;
+    std::vector<std::shared_ptr<const LayerWorkset>> seen(64);
+    {
+        ThreadPool pool(4);
+        for (std::size_t i = 0; i < seen.size(); ++i)
+            pool.submit([&cache, &seen, i] {
+                seen[i] = cache.obtain(tinyParams(1 + i % 8));
+            });
+        pool.wait();
+    }
+    // Every requester of one key got content equal to the serial
+    // generation (racing double-computes are allowed, but the content
+    // must match).
+    for (std::size_t i = 0; i < seen.size(); ++i)
+        expectWorksetEq(*seen[i],
+                        generateLayerWorkset(tinyParams(1 + i % 8)));
+    EXPECT_EQ(cache.stats().entries, 8u);
+    EXPECT_EQ(cache.stats().hits + cache.stats().misses, seen.size());
 }
 
 } // namespace
