@@ -462,6 +462,11 @@ perfGateViolations(const PerfDocument &oldDoc, const PerfDocument &newDoc,
     mismatch("sample", oldDoc.sample, newDoc.sample);
     mismatch("rowcap", oldDoc.rowCap, newDoc.rowCap);
     mismatch("seed", oldDoc.seed, newDoc.seed);
+    // An old document with nothing to compare against would pass every
+    // new one.
+    if (oldDoc.suite.empty())
+        violations.push_back("the old document has no experiments; the "
+                             "gate has nothing to hold the new one to");
     for (const auto &o : oldDoc.suite) {
         const PerfEntry *n = findEntry(newDoc, o.experiment);
         if (n == nullptr) {
@@ -469,8 +474,12 @@ perfGateViolations(const PerfDocument &oldDoc, const PerfDocument &newDoc,
                                  ": missing from the new document");
             continue;
         }
-        if (o.jobsPerSec <= 0.0)
+        if (o.jobsPerSec <= 0.0) {
+            violations.push_back(o.experiment + ": old jobs_per_sec " +
+                                 Table::num(o.jobsPerSec, 2) +
+                                 " is not positive; no floor to hold");
             continue;
+        }
         const double floor = o.jobsPerSec * (1.0 - tolerance);
         if (n->jobsPerSec < floor)
             violations.push_back(

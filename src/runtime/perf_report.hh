@@ -120,10 +120,12 @@ std::vector<Table> renderPerfCompare(const PerfDocument &oldDoc,
 /**
  * Gating comparison (`perf --compare --gate`): one human-readable
  * violation line per differing run parameter (threads, sample,
- * rowcap, seed), per experiment of `oldDoc` missing from `newDoc`, and
- * per experiment whose jobs_per_sec regressed by more than `tolerance`
- * (0.10 = the CI band).  Improvements and experiments only in
- * `newDoc` never violate.  Empty result = gate passes.
+ * rowcap, seed), for an `oldDoc` without experiments, per experiment
+ * of `oldDoc` missing from `newDoc` or without a positive
+ * jobs_per_sec, and per experiment whose jobs_per_sec regressed by
+ * more than `tolerance` (0.10 = the CI band).  Improvements and
+ * experiments only in `newDoc` never violate.  Empty result = gate
+ * passes.
  */
 std::vector<std::string> perfGateViolations(const PerfDocument &oldDoc,
                                             const PerfDocument &newDoc,

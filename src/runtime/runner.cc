@@ -280,7 +280,7 @@ runSweep(const SweepSpec &spec, int threads, WorksetCache *worksets)
                      ? static_cast<double>(pool_stats.busyNs) /
                            capacity_ns
                      : 0.0);
-        reg.publishCacheStats("schedule_cache", schedule_stats);
+        reg.publishCacheStats("schedule_memo", schedule_stats);
         reg.publishCacheStats("workset_cache", worksets->stats());
         if (!job_elapsed_ms.empty()) {
             Histogram &h = reg.histogram("pool.job_us");

@@ -1,5 +1,8 @@
 #include "runtime/schedule_memo.hh"
 
+#include "common/arena.hh"
+#include "simd/occupancy.hh"
+
 namespace griffin {
 
 CacheKey128
@@ -15,25 +18,17 @@ ScheduleMemo::contentKey(const TileViewB &b, const Borrow &db,
     h.fold(static_cast<std::uint64_t>(db.d3));
     h.fold(shuffler.enabled() ? 1u : 0u);
     h.fold(static_cast<std::uint64_t>(shuffler.groupSize()));
-    // The tile's INT8 elements, 8 per word: one splitmix round per 8
-    // elements instead of per element.
-    std::uint64_t word = 0;
-    int packed = 0;
-    for (std::int64_t k1 = 0; k1 < b.steps(); ++k1) {
-        for (int k2 = 0; k2 < b.lanes(); ++k2) {
-            for (int u = 0; u < b.units(); ++u) {
-                word = (word << 8) |
-                       static_cast<std::uint8_t>(b.at(k1, k2, u));
-                if (++packed == 8) {
-                    h.fold(word);
-                    word = 0;
-                    packed = 0;
-                }
-            }
-        }
-    }
-    if (packed != 0)
-        h.fold(word);
+    // The zero pattern is the schedule's whole content input: one
+    // occupancy word per flat k, zero-extended past the matrix edge.
+    Arena &arena = workArena();
+    ArenaScope scope(arena);
+    const std::int64_t flat = b.steps() * b.lanes();
+    auto *occ =
+        arena.alloc<std::uint64_t>(static_cast<std::size_t>(flat));
+    simd::bTileOccupancy(b.matrix(), b.unitBase(), b.units(), b.steps(),
+                         b.lanes(), occ);
+    for (std::int64_t f = 0; f < flat; ++f)
+        h.fold(occ[f]);
     return h.key();
 }
 

@@ -4,14 +4,17 @@
  * sub-job — stage 2 of the staged GEMM pipeline (sim/gemm_sim.hh).
  *
  * preprocessB() is a pure function of one weight tile's zero pattern,
- * the borrow window, and the shuffle setting, and it is the dominant
- * per-column-tile cost of Sparse.B and preprocessed dual-sparse runs.
- * In a sweep, a packed stream is reused only by architectures that see
- * the same layer under the same B routing, and the runner already
- * runs those together: one (grid point, layer) sub-job sweeps every
- * architecture of the batch over the layer.  Each sub-job owns one
- * ScheduleMemo, hands it to every architecture through
- * SimOptions::scheduleMemo, and drops it when the sub-job ends.
+ * the borrow window, and the shuffle setting.  Preprocessed dual-sparse
+ * runs need the whole packed stream per column tile, and in a sweep a
+ * stream is reused only by architectures that see the same layer under
+ * the same B routing — which the runner already runs together: one
+ * (grid point, layer) sub-job sweeps every architecture of the batch
+ * over the layer.  Each sub-job owns one ScheduleMemo, hands it to
+ * every architecture through SimOptions::scheduleMemo, and drops it
+ * when the sub-job ends.
+ *
+ * Sparse.B runs never consult the memo: they need only the packing's
+ * counts (countB()), which cost less than hashing the tile for a key.
  *
  * The memo is therefore single-threaded and short-lived: no lock, no
  * byte budget, no eviction, no persistence.  Memoized and freshly
@@ -49,9 +52,10 @@ class ScheduleMemo
 
     /**
      * The key of one B-side schedule: covers the schedule's full input
-     * domain — tile geometry, every element's zero pattern (padding
-     * included, via the view's zero-extension), the borrow window, and
-     * the shuffle config.
+     * domain — tile geometry, the tile's occupancy words (its zero
+     * pattern, edge padding included via the zero-extension), the
+     * borrow window, and the shuffle config.  Element values do not
+     * enter it: tiles with one zero pattern share one schedule.
      */
     static CacheKey128 contentKey(const TileViewB &b, const Borrow &db,
                                   const Shuffler &shuffler);

@@ -23,56 +23,12 @@ scheduleA(const TileViewA &a, const Borrow &da, const Shuffler &shuffler,
     grid.rows = a.units();
     grid.cols = 1;
 
-    // Bulk occupancy (bit m of occ[flat k]) + CSR count/prefix/fill;
-    // k1-major fill order keeps every slot queue ascending, and the
-    // shuffler guarantees one k2 per (step, lane) so within-step order
-    // cannot matter.
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    const std::int64_t flat = grid.steps * grid.lanes;
-    const std::int64_t nslots = grid.slots();
-    auto *occ =
-        arena.alloc<std::uint64_t>(static_cast<std::size_t>(flat));
+    auto *occ = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(grid.steps * grid.lanes));
     simd::aTileOccupancy(a.matrix(), a.unitBase(), grid.rows,
                          grid.steps, grid.lanes, occ);
-
-    auto *offsets = arena.allocZeroed<std::int64_t>(
-        static_cast<std::size_t>(nslots + 1));
-    for (std::int64_t f = 0; f < flat; ++f) {
-        const std::int64_t k1 = f / grid.lanes;
-        const int lane =
-            shuffler.apply(k1, static_cast<int>(f % grid.lanes));
-        std::uint64_t word = occ[f];
-        while (word != 0) {
-            const int m = simd::ctz64(word);
-            word &= word - 1;
-            ++offsets[m * grid.lanes + lane + 1];
-        }
-    }
-    for (std::int64_t s = 0; s < nslots; ++s)
-        offsets[s + 1] += offsets[s];
-    auto *values = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(offsets[nslots]));
-    auto *fill = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    for (std::int64_t s = 0; s < nslots; ++s)
-        fill[s] = offsets[s];
-    for (std::int64_t f = 0; f < flat; ++f) {
-        const std::int64_t k1 = f / grid.lanes;
-        const int lane =
-            shuffler.apply(k1, static_cast<int>(f % grid.lanes));
-        std::uint64_t word = occ[f];
-        while (word != 0) {
-            const int m = simd::ctz64(word);
-            word &= word - 1;
-            values[fill[m * grid.lanes + lane]++] = k1;
-        }
-    }
-
-    SlotQueueSpans queues;
-    queues.grid = grid;
-    queues.offsets = offsets;
-    queues.values = values;
 
     BorrowWindow window;
     window.steps = 1 + da.d1;
@@ -82,7 +38,8 @@ scheduleA(const TileViewA &a, const Borrow &da, const Shuffler &shuffler,
     window.advanceCap = std::min<double>(advance_cap, window.steps);
     window.budgetCeiling = window.steps;
 
-    return runWindowSchedule(queues, window, record);
+    return runWindowSchedule(unitLanePending(occ, grid, shuffler, arena),
+                             window, record);
 }
 
 } // namespace griffin

@@ -8,9 +8,17 @@
 
 namespace griffin {
 
-BSchedule
-preprocessB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
-            bool record)
+namespace {
+
+/**
+ * The packing pass of one B tile: slot bitmaps straight from the
+ * tile's occupancy masks, then the window engine.  Preprocessing is
+ * offline, so the stream layout is limited by the window depth only,
+ * never by runtime bandwidth.
+ */
+ScheduleResult
+packB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
+      bool record)
 {
     GRIFFIN_ASSERT(shuffler.lanes() == b.lanes(),
                    "shuffler is ", shuffler.lanes(), " lanes wide, tile ",
@@ -22,83 +30,54 @@ preprocessB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
     grid.rows = 1;
     grid.cols = b.units();
 
-    // Bulk occupancy: one mask word per flat k with bit n set on
-    // nonzero, then a count / prefix-sum / fill CSR build.  The
-    // shuffler maps at most one k2 per (step, lane), so filling in
-    // k1-major order keeps every slot's queue ascending.
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    const std::int64_t flat = grid.steps * grid.lanes;
-    const std::int64_t nslots = grid.slots();
-    auto *occ =
-        arena.alloc<std::uint64_t>(static_cast<std::size_t>(flat));
+    auto *occ = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(grid.steps * grid.lanes));
     simd::bTileOccupancy(b.matrix(), b.unitBase(), grid.cols,
                          grid.steps, grid.lanes, occ);
-
-    auto *offsets = arena.allocZeroed<std::int64_t>(
-        static_cast<std::size_t>(nslots + 1));
-    for (std::int64_t f = 0; f < flat; ++f) {
-        const std::int64_t k1 = f / grid.lanes;
-        const int lane =
-            shuffler.apply(k1, static_cast<int>(f % grid.lanes));
-        std::uint64_t word = occ[f];
-        while (word != 0) {
-            const int n = simd::ctz64(word);
-            word &= word - 1;
-            ++offsets[n * grid.lanes + lane + 1];
-        }
-    }
-    for (std::int64_t s = 0; s < nslots; ++s)
-        offsets[s + 1] += offsets[s];
-    auto *values = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(offsets[nslots]));
-    auto *fill = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    for (std::int64_t s = 0; s < nslots; ++s)
-        fill[s] = offsets[s];
-    for (std::int64_t f = 0; f < flat; ++f) {
-        const std::int64_t k1 = f / grid.lanes;
-        const int lane =
-            shuffler.apply(k1, static_cast<int>(f % grid.lanes));
-        std::uint64_t word = occ[f];
-        while (word != 0) {
-            const int n = simd::ctz64(word);
-            word &= word - 1;
-            values[fill[n * grid.lanes + lane]++] = k1;
-        }
-    }
-
-    SlotQueueSpans queues;
-    queues.grid = grid;
-    queues.offsets = offsets;
-    queues.values = values;
 
     BorrowWindow window;
     window.steps = 1 + db.d1;
     window.laneDist = db.d2;
     window.rowDist = 0;
     window.colDist = db.d3;
-    // Offline packing: the stream layout is limited by the window
-    // depth only, never by runtime bandwidth.
     window.advanceCap = window.steps;
     window.budgetCeiling = window.steps;
+    return runWindowSchedule(unitLanePending(occ, grid, shuffler, arena),
+                             window, record);
+}
 
+} // namespace
+
+ScheduleStats
+countB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler)
+{
+    return packB(b, db, shuffler, false).stats;
+}
+
+BSchedule
+preprocessB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
+            bool record)
+{
     // The packing ops *are* the stream content, so always record.
-    auto result = runWindowSchedule(queues, window, true);
+    auto result = packB(b, db, shuffler, true);
+    const int lanes = b.lanes();
+    const int cols = b.units();
 
     BSchedule sched;
     sched.cycles_ = std::max<std::int64_t>(result.stats.cycles, 0);
-    sched.lanes_ = grid.lanes;
-    sched.cols_ = grid.cols;
+    sched.lanes_ = lanes;
+    sched.cols_ = cols;
     sched.elems_ = result.stats.ops;
     sched.stats_ = result.stats;
     const auto cells = static_cast<std::size_t>(
-        sched.cycles_ * grid.lanes * grid.cols);
+        sched.cycles_ * lanes * cols);
     sched.flatk_.assign(cells, -1);
     sched.homecol_.assign(cells, -1);
     sched.raw_end_.assign(static_cast<std::size_t>(sched.cycles_), -1);
     const auto col_cells =
-        static_cast<std::size_t>(sched.cycles_ * grid.cols);
+        static_cast<std::size_t>(sched.cycles_ * cols);
     sched.raw_lo_.assign(col_cells, -1);
     sched.raw_hi_.assign(col_cells, -1);
 
@@ -110,7 +89,7 @@ preprocessB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
             sched.index(op.cycle, op.consumerLane, op.consumerCol);
         GRIFFIN_ASSERT(sched.flatk_[idx] == -1,
                        "two elements packed into one stream slot");
-        sched.flatk_[idx] = op.step * grid.lanes + orig_k2;
+        sched.flatk_[idx] = op.step * lanes + orig_k2;
         sched.homecol_[idx] = static_cast<std::int16_t>(op.col);
         auto &frontier =
             sched.raw_end_[static_cast<std::size_t>(op.cycle)];
@@ -130,21 +109,6 @@ preprocessB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
     if (record)
         sched.ops_ = std::move(result.ops);
     return sched;
-}
-
-std::vector<std::int64_t>
-BSchedule::stepCosts() const
-{
-    std::vector<std::int64_t> costs(
-        static_cast<std::size_t>(cycles_), 0);
-    std::int64_t prev = -1;
-    for (std::int64_t c = 0; c < cycles_; ++c) {
-        const auto end = raw_end_[static_cast<std::size_t>(c)];
-        costs[static_cast<std::size_t>(c)] = std::max<std::int64_t>(
-            0, end - prev);
-        prev = std::max(prev, end);
-    }
-    return costs;
 }
 
 std::size_t

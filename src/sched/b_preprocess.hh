@@ -76,9 +76,10 @@ class BSchedule
     }
 
     /**
-     * Per-column raw extent of one stream entry: the lowest / highest
-     * original k1 among the elements column `col` holds at `cycle`,
-     * or -1 when that column's slice of the entry is empty.  The
+     * Per-column raw extent of one stream entry: the lowest original
+     * k1 among the elements column `col` holds at `cycle` (the highest
+     * is in rawHiData()), or -1 when that column's slice of the entry
+     * is empty.  The
      * asynchronous dual-sparse engine uses these to enforce the shared
      * ABUF residency window across independently advancing columns.
      */
@@ -86,12 +87,6 @@ class BSchedule
     rawLo(std::int64_t cycle, int col) const
     {
         return raw_lo_[colIndex(cycle, col)];
-    }
-
-    std::int64_t
-    rawHi(std::int64_t cycle, int col) const
-    {
-        return raw_hi_[colIndex(cycle, col)];
     }
 
     /**
@@ -107,15 +102,11 @@ class BSchedule
     }
 
     /**
-     * Flat raw-extent tables indexed `cycle * cols() + col` — the bulk
-     * counterpart of rawLo()/rawHi() for the engine's per-cycle
-     * eligibility filter.
+     * Flat table of the highest raw k1 per entry slice, indexed
+     * `cycle * cols() + col` — the bulk form the engine's per-cycle
+     * residency filter reads.
      */
-    const std::int64_t *rawLoData() const { return raw_lo_.data(); }
     const std::int64_t *rawHiData() const { return raw_hi_.data(); }
-
-    /** Streaming cost of each compressed entry in raw A steps. */
-    std::vector<std::int64_t> stepCosts() const;
 
     /** Compressed payload size: one INT8 per scheduled element. */
     std::int64_t dataBytes() const { return elems_; }
@@ -181,6 +172,14 @@ class BSchedule
  */
 BSchedule preprocessB(const TileViewB &b, const Borrow &db,
                       const Shuffler &shuffler, bool record);
+
+/**
+ * The statistics of preprocessB(b, db, shuffler, ...) — its stats(),
+ * whose `cycles` is the stream length cycles() — from the same packing
+ * pass, without recording ops or building the stream tables.
+ */
+ScheduleStats countB(const TileViewB &b, const Borrow &db,
+                     const Shuffler &shuffler);
 
 } // namespace griffin
 

@@ -366,14 +366,12 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
     grid.rows = a.units();
     grid.cols = b.units();
 
-    // Pairwise occupancy: a slot gets an element at step k1 exactly
+    // Pairwise occupancy: a slot holds an element at step k1 exactly
     // when both the A mask (bit m) and the B mask (bit j) are set at
-    // that flat k.  CSR count / prefix / fill in flat-k-major order;
-    // one k2 per (step, lane) keeps per-slot values ascending.
+    // that flat k.
     Arena &arena = workArena();
     ArenaScope scope(arena);
     const std::int64_t flat = grid.steps * grid.lanes;
-    const std::int64_t nslots = grid.slots();
     auto *occA =
         arena.alloc<std::uint64_t>(static_cast<std::size_t>(flat));
     auto *occB =
@@ -383,66 +381,35 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
     simd::bTileOccupancy(b.matrix(), b.unitBase(), grid.cols,
                          grid.steps, grid.lanes, occB);
 
-    auto *offsets = arena.allocZeroed<std::int64_t>(
-        static_cast<std::size_t>(nslots + 1));
+    PendingSteps pending;
+    pending.grid = grid;
+    pending.bits = arena.allocZeroed<std::uint64_t>(
+        static_cast<std::size_t>(grid.steps * grid.slotWords()));
+    const int *lane_of = shuffleTable(shuffler, arena);
     for (std::int64_t f = 0; f < flat; ++f) {
-        std::uint64_t mask_a = occA[f];
-        if (mask_a == 0 || occB[f] == 0)
+        if (occA[f] == 0 || occB[f] == 0)
             continue;
         const std::int64_t k1 = f / grid.lanes;
-        const int lane =
-            shuffler.apply(k1, static_cast<int>(f % grid.lanes));
-        while (mask_a != 0) {
-            const int m = simd::ctz64(mask_a);
-            mask_a &= mask_a - 1;
-            std::uint64_t mask_b = occB[f];
-            while (mask_b != 0) {
-                const int j = simd::ctz64(mask_b);
-                mask_b &= mask_b - 1;
-                ++offsets[(static_cast<std::int64_t>(j) * grid.rows +
-                           m) *
-                              grid.lanes +
-                          lane + 1];
+        const int lane = lane_of[k1 % shuffler.period() * grid.lanes +
+                                 f % grid.lanes];
+        std::uint64_t *p = pending.step(k1);
+        std::uint64_t mask_b = occB[f];
+        while (mask_b != 0) {
+            const std::int64_t col_base =
+                static_cast<std::int64_t>(simd::ctz64(mask_b)) * grid.rows;
+            mask_b &= mask_b - 1;
+            std::uint64_t mask_a = occA[f];
+            while (mask_a != 0) {
+                // slotIndex(lane, m, j), unchecked.
+                const std::int64_t bit =
+                    (col_base + simd::ctz64(mask_a)) * grid.lanes + lane;
+                mask_a &= mask_a - 1;
+                p[bit >> 6] |= std::uint64_t{1} << (bit & 63);
             }
         }
     }
-    for (std::int64_t s = 0; s < nslots; ++s)
-        offsets[s + 1] += offsets[s];
-    auto *values = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(offsets[nslots]));
-    auto *fill = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    for (std::int64_t s = 0; s < nslots; ++s)
-        fill[s] = offsets[s];
-    for (std::int64_t f = 0; f < flat; ++f) {
-        std::uint64_t mask_a = occA[f];
-        if (mask_a == 0 || occB[f] == 0)
-            continue;
-        const std::int64_t k1 = f / grid.lanes;
-        const int lane =
-            shuffler.apply(k1, static_cast<int>(f % grid.lanes));
-        while (mask_a != 0) {
-            const int m = simd::ctz64(mask_a);
-            mask_a &= mask_a - 1;
-            std::uint64_t mask_b = occB[f];
-            while (mask_b != 0) {
-                const int j = simd::ctz64(mask_b);
-                mask_b &= mask_b - 1;
-                values[fill[(static_cast<std::int64_t>(j) * grid.rows +
-                             m) *
-                                grid.lanes +
-                            lane]++] = k1;
-            }
-        }
-    }
-
-    SlotQueueSpans queues;
-    queues.grid = grid;
-    queues.offsets = offsets;
-    queues.values = values;
 
     DualSchedule out;
-    out.effectualPairs = queues.totalElements();
 
     BorrowWindow window;
     window.steps = 1 + std::min(cfg.a.d1, cfg.b.d1);
@@ -453,7 +420,8 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
         std::min(advance_cap, static_cast<double>(window.steps));
     window.budgetCeiling = window.steps;
 
-    auto result = runWindowSchedule(queues, window, record);
+    auto result = runWindowSchedule(pending, window, record);
+    out.effectualPairs = result.stats.ops;
     out.cycles = result.stats.cycles;
     out.stage2 = result.stats;
     if (record) {

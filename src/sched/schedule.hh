@@ -37,6 +37,9 @@ struct SlotGrid
         return static_cast<std::int64_t>(lanes) * rows * cols;
     }
 
+    /** 64-bit words of one slot bitmap. */
+    int slotWords() const { return static_cast<int>((slots() + 63) / 64); }
+
     std::int64_t
     slotIndex(int lane, int row, int col) const
     {
@@ -104,15 +107,37 @@ struct ScheduleResult
 };
 
 /**
- * Per-slot FIFO queues of effectual element steps.  Elements must be
- * pushed in increasing step order per slot (the hardware's priority
- * encoders scan in stream order).
+ * Pending elements of a slot grid, one bitmap per temporal step: bit s
+ * of step t is set while slot s holds an unexecuted element at step t.
+ * A slot executes its elements in step order (the hardware's priority
+ * encoders scan in stream order), so its head is its lowest set step.
+ * The memory is borrowed; the engine clears bits as it executes them.
+ */
+struct PendingSteps
+{
+    SlotGrid grid;
+    std::uint64_t *bits = nullptr; ///< grid.steps rows of slotWords()
+
+    std::uint64_t *
+    step(std::int64_t t) const
+    {
+        return bits + t * grid.slotWords();
+    }
+};
+
+/**
+ * Owning pending-element set for tests and external callers: elements
+ * are pushed per slot in increasing step order, as a hardware stream
+ * would deliver them.  The hot builders fill PendingSteps in the work
+ * arena instead.
  */
 class SlotQueues
 {
   public:
     explicit SlotQueues(const SlotGrid &grid)
-        : grid_(grid), queues_(static_cast<std::size_t>(grid.slots()))
+        : grid_(grid),
+          bits_(static_cast<std::size_t>(grid.steps * grid.slotWords())),
+          last_(static_cast<std::size_t>(grid.slots()), -1)
     {
     }
 
@@ -123,38 +148,28 @@ class SlotQueues
     {
         GRIFFIN_ASSERT(step >= 0 && step < grid_.steps,
                        "step ", step, " outside grid of ", grid_.steps);
-        auto &q = queues_[static_cast<std::size_t>(
-            grid_.slotIndex(lane, row, col))];
-        GRIFFIN_ASSERT(q.empty() || q.back() < step,
+        const std::int64_t s = grid_.slotIndex(lane, row, col);
+        auto &last = last_[static_cast<std::size_t>(s)];
+        GRIFFIN_ASSERT(last < step,
                        "elements must be pushed in increasing step "
                        "order per slot");
-        q.push_back(step);
+        last = step;
+        bits_[static_cast<std::size_t>(step * grid_.slotWords() +
+                                       (s >> 6))] |= std::uint64_t{1}
+                                                     << (s & 63);
+        ++total_;
     }
 
-    const std::vector<std::int64_t> &
-    queue(int lane, int row, int col) const
-    {
-        return queues_[static_cast<std::size_t>(
-            grid_.slotIndex(lane, row, col))];
-    }
+    std::int64_t totalElements() const { return total_; }
 
-    std::int64_t
-    totalElements() const
-    {
-        std::int64_t n = 0;
-        for (const auto &q : queues_)
-            n += static_cast<std::int64_t>(q.size());
-        return n;
-    }
-
-    const std::vector<std::vector<std::int64_t>> &raw() const
-    {
-        return queues_;
-    }
+    /** The pending bitmaps, laid out as PendingSteps::bits. */
+    const std::vector<std::uint64_t> &bits() const { return bits_; }
 
   private:
     SlotGrid grid_;
-    std::vector<std::vector<std::int64_t>> queues_;
+    std::vector<std::uint64_t> bits_;
+    std::vector<std::int64_t> last_;
+    std::int64_t total_ = 0;
 };
 
 } // namespace griffin

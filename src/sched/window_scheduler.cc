@@ -1,39 +1,26 @@
 #include "sched/window_scheduler.hh"
 
 #include <algorithm>
-#include <limits>
 
-#include "common/arena.hh"
 #include "simd/occupancy.hh"
 
 namespace griffin {
 
 namespace {
 
-constexpr std::int64_t kEmptyHead =
-    std::numeric_limits<std::int64_t>::max();
-
-/**
- * One pre-enumerated steal offset: lexicographic (dl, dr, dc) priority
- * with the flat slot-index delta folded in, so the scan is an add and
- * three bounds checks per candidate.
- */
-struct StealOffset
+bool
+hasBit(const std::uint64_t *m, std::int64_t s)
 {
-    int dl;
-    int dr;
-    int dc;
-    std::int64_t delta;
-};
+    return (m[s >> 6] >> (s & 63) & 1u) != 0;
+}
 
 } // namespace
 
 ScheduleResult
-runWindowSchedule(const SlotQueueSpans &queues,
-                  const BorrowWindow &window, bool record,
-                  const std::vector<std::int64_t> *step_costs)
+runWindowSchedule(const PendingSteps &pending, const BorrowWindow &window,
+                  bool record, const std::vector<std::int64_t> *step_costs)
 {
-    const SlotGrid &grid = queues.grid;
+    const SlotGrid &grid = pending.grid;
     GRIFFIN_ASSERT(window.steps >= 1, "window of ", window.steps,
                    " steps");
     GRIFFIN_ASSERT(window.advanceCap > 0.0,
@@ -54,50 +41,77 @@ runWindowSchedule(const SlotQueueSpans &queues,
                            window.budgetCeiling);
     }
 
+    const std::int64_t nslots = grid.slots();
+    const int words = grid.slotWords();
     ScheduleResult result;
-    std::int64_t remaining = queues.totalElements();
+    std::int64_t remaining = 0;
+    for (std::int64_t i = 0; i < grid.steps * words; ++i)
+        remaining += simd::popcount64(pending.bits[i]);
     if (remaining == 0)
         return result;
     if (record)
         result.ops.reserve(static_cast<std::size_t>(remaining));
 
-    const std::int64_t nslots = grid.slots();
-    const std::int64_t words = (nslots + 63) / 64;
-
     Arena &arena = workArena();
     ArenaScope scope(arena);
+    // Per-cycle scratch: the slots seen so far in the window walk, the
+    // slots that executed their own head, the slots that can still
+    // lend (a pending element left in the window), and — to record
+    // which step each own head came from — the heads taken per step.
+    auto *seen = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(words));
+    auto *own = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(words));
+    auto *lend = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(words));
+    auto *ran = arena.alloc<std::uint64_t>(
+        static_cast<std::size_t>(window.steps) * words);
 
-    // Dense head-step array (kEmptyHead marks a drained queue): pass-1
-    // eligibility is one masked compare over it, and the window
-    // advance's min-head scan is one SIMD reduction.
-    auto *cursor = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    auto *heads = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots));
-    auto *elig = arena.alloc<std::uint64_t>(
+    // Steal offsets in lexicographic (dl, dr, dc) priority, each as a
+    // flat slot delta plus the bitmap of consumer slots whose source
+    // lies inside the grid.
+    const auto offsets = static_cast<std::size_t>(
+        (window.laneDist + 1) * (window.rowDist + 1) *
+            (window.colDist + 1) -
+        1);
+    std::vector<std::int64_t> deltas;
+    auto *reach = arena.allocZeroed<std::uint64_t>(offsets * words);
+    auto *cand = arena.alloc<std::uint64_t>(
         static_cast<std::size_t>(words));
-    auto *pass1 = arena.alloc<std::uint64_t>(
-        static_cast<std::size_t>(words));
-    for (std::int64_t s = 0; s < nslots; ++s) {
-        cursor[s] = queues.offsets[s];
-        heads[s] = queues.offsets[s] < queues.offsets[s + 1]
-                       ? queues.values[queues.offsets[s]]
-                       : kEmptyHead;
+    for (int dl = 0; dl <= window.laneDist; ++dl) {
+        for (int dr = 0; dr <= window.rowDist; ++dr) {
+            for (int dc = 0; dc <= window.colDist; ++dc) {
+                if (!(dl || dr || dc))
+                    continue;
+                std::uint64_t *m = reach + deltas.size() * words;
+                deltas.push_back(
+                    dl + static_cast<std::int64_t>(dr) * grid.lanes +
+                    static_cast<std::int64_t>(dc) * grid.lanes *
+                        grid.rows);
+                for (std::int64_t s = 0; s < nslots; ++s) {
+                    const std::int64_t rest = s / grid.lanes;
+                    if (s % grid.lanes + dl < grid.lanes &&
+                        rest % grid.rows + dr < grid.rows &&
+                        rest / grid.rows + dc < grid.cols)
+                        m[s >> 6] |= std::uint64_t{1} << (s & 63);
+                }
+            }
+        }
     }
 
-    std::vector<StealOffset> steals;
-    for (int dl = 0; dl <= window.laneDist; ++dl)
-        for (int dr = 0; dr <= window.rowDist; ++dr)
-            for (int dc = 0; dc <= window.colDist; ++dc)
-                if (dl || dr || dc)
-                    steals.push_back(
-                        {dl, dr, dc,
-                         dl + static_cast<std::int64_t>(dr) *
-                                  grid.lanes +
-                             static_cast<std::int64_t>(dc) *
-                                 grid.lanes * grid.rows});
+    const auto live = [&](std::int64_t t) {
+        const std::uint64_t *p = pending.step(t);
+        for (int i = 0; i < words; ++i)
+            if (p[i] != 0)
+                return true;
+        return false;
+    };
+    // Earliest step with a pending element: it only moves forward, and
+    // the window tail never passes it, so the walk can start there.
+    std::int64_t first_live = 0;
+    while (!live(first_live))
+        ++first_live;
 
-    const simd::KernelTable &kern = simd::kernels();
     const std::int64_t w_limit = window.steps; // max step advance/cycle
     std::int64_t w = 0;
     // The first window's worth of operands is loaded during pipeline
@@ -119,121 +133,140 @@ runWindowSchedule(const SlotQueueSpans &queues,
                          entering)]);
     };
 
+    struct Coord
+    {
+        int lane, row, col;
+    };
+    const auto coord = [&](std::int64_t s) {
+        const std::int64_t rest = s / grid.lanes;
+        return Coord{static_cast<int>(s % grid.lanes),
+                     static_cast<int>(rest % grid.rows),
+                     static_cast<int>(rest / grid.rows)};
+    };
+    const auto emit = [&](std::int64_t step, const Coord &src,
+                          const Coord &con) {
+        result.ops.push_back({step, src.lane, src.row, src.col, con.lane,
+                              con.row, con.col,
+                              result.stats.cycles - 1});
+    };
+
     while (remaining > 0) {
         ++result.stats.cycles;
-        const std::int64_t horizon = w + window.steps - 1;
-        std::int64_t consumed_this_cycle = 0;
+        const std::int64_t first = first_live;
+        const std::int64_t end =
+            std::min(w + window.steps, grid.steps);
 
-        // Eligibility = head within the window.  Drained slots carry
-        // the kEmptyHead sentinel, which can never be <= horizon, so
-        // one compare covers both conditions.
-        kern.leMask(heads, nslots, horizon, elig);
-        std::int64_t elig_count = 0;
-        for (std::int64_t i = 0; i < words; ++i)
-            elig_count += simd::popcount64(elig[i]);
-
-        // Consume slot src's head on consumer slot `s`; updates the
-        // head and its eligibility bit (a steal may drain the source
-        // for later stealers in the same cycle).
-        auto consume = [&](std::int64_t src, int src_lane, int src_row,
-                           int src_col, int con_lane, int con_row,
-                           int con_col, bool own) {
-            const std::int64_t step = heads[src];
-            const std::int64_t next = ++cursor[src];
-            heads[src] = next < queues.offsets[src + 1]
-                             ? queues.values[next]
-                             : kEmptyHead;
-            const std::uint64_t bit = std::uint64_t{1} << (src & 63);
-            if (heads[src] > horizon) {
-                elig[src >> 6] &= ~bit;
-                --elig_count;
+        // Pass 1: walking the window's steps in order, `p & ~seen` are
+        // the slots whose head sits at step t; each executes it.  What
+        // stays pending in the window afterwards is the lenders' set.
+        std::fill(seen, seen + words, 0);
+        std::fill(own, own + words, 0);
+        std::fill(lend, lend + words, 0);
+        for (std::int64_t t = first; t < end; ++t) {
+            std::uint64_t *p = pending.step(t);
+            std::uint64_t *r = ran + (t - first) * words;
+            for (int i = 0; i < words; ++i) {
+                const std::uint64_t heads = p[i] & ~seen[i];
+                seen[i] |= p[i];
+                p[i] &= ~heads;
+                r[i] = heads;
+                own[i] |= heads;
+                lend[i] |= p[i];
             }
-            --remaining;
-            ++consumed_this_cycle;
-            ++result.stats.ops;
-            if (own)
-                ++result.stats.ownOps;
-            else
-                ++result.stats.stolenOps;
-            if (record) {
-                result.ops.push_back({step, src_lane, src_row, src_col,
-                                      con_lane, con_row, con_col,
-                                      result.stats.cycles - 1});
-            }
-        };
-
-        // Pass 1: every slot takes its own head if it is in window.
-        // Ascending set-bit order over the mask IS ascending
-        // (col, row, lane) order — slotIndex is exactly that mixed
-        // radix — so ops record in the same order as ever.
-        for (std::int64_t i = 0; i < words; ++i) {
-            std::uint64_t word = elig[i];
-            pass1[i] = word;
-            while (word != 0) {
-                const std::int64_t s =
-                    i * 64 + simd::ctz64(word);
-                word &= word - 1;
-                const int lane = static_cast<int>(s % grid.lanes);
-                const std::int64_t rest = s / grid.lanes;
-                const int row = static_cast<int>(rest % grid.rows);
-                const int col = static_cast<int>(rest / grid.rows);
-                consume(s, lane, row, col, lane, row, col, true);
+        }
+        std::int64_t consumed = 0;
+        std::int64_t lenders = 0;
+        for (int i = 0; i < words; ++i) {
+            consumed += simd::popcount64(own[i]);
+            lenders += simd::popcount64(lend[i]);
+        }
+        result.stats.ops += consumed;
+        result.stats.ownOps += consumed;
+        if (record) {
+            // Ascending slot index is ascending (col, row, lane).
+            for (int i = 0; i < words; ++i) {
+                std::uint64_t word = own[i];
+                while (word != 0) {
+                    const int bit = simd::ctz64(word);
+                    word &= word - 1;
+                    std::int64_t d = 0;
+                    while ((ran[d * words + i] >> bit & 1u) == 0)
+                        ++d;
+                    const auto c = coord(i * 64 + bit);
+                    emit(first + d, c, c);
+                }
             }
         }
 
-        // Pass 2: idle slots steal the earliest eligible neighbour
-        // head, scanning offsets in fixed priority order.  Only slots
-        // busy in pass 1 can be sources (an idle slot's head is past
-        // the horizon by definition), so idle = ~pass1.
-        if (!steals.empty() && elig_count > 0) {
-            for (std::int64_t i = 0; i < words && elig_count > 0;
-                 ++i) {
-                std::uint64_t idle = ~pass1[i];
-                if (i == words - 1 && (nslots & 63) != 0)
-                    idle &= (std::uint64_t{1} << (nslots & 63)) - 1;
-                while (idle != 0 && elig_count > 0) {
-                    const std::int64_t s =
-                        i * 64 + simd::ctz64(idle);
+        // Pass 2: idle slots steal the earliest pending element of a
+        // neighbour, scanning offsets in fixed priority order.  Only
+        // slots busy in pass 1 can lend (an idle slot has nothing in
+        // the window), so idle = ~own, and an idle slot none of whose
+        // offsets reaches a lender now never will this cycle.
+        if (!deltas.empty() && lenders > 0) {
+            std::fill(cand, cand + words, 0);
+            for (std::size_t k = 0; k < deltas.size(); ++k) {
+                const std::uint64_t *m = reach + k * words;
+                const auto q = static_cast<int>(deltas[k] >> 6);
+                const int r = static_cast<int>(deltas[k] & 63);
+                for (int i = 0; i + q < words; ++i) {
+                    // Bit s of the shifted set is lend bit s + delta.
+                    std::uint64_t shifted = lend[i + q] >> r;
+                    if (r != 0 && i + q + 1 < words)
+                        shifted |= lend[i + q + 1] << (64 - r);
+                    cand[i] |= shifted & m[i];
+                }
+            }
+            for (int i = 0; i < words && lenders > 0; ++i) {
+                std::uint64_t idle = cand[i] & ~own[i];
+                while (idle != 0 && lenders > 0) {
+                    const std::int64_t s = i * 64 + simd::ctz64(idle);
                     idle &= idle - 1;
-                    const int lane = static_cast<int>(s % grid.lanes);
-                    const std::int64_t rest = s / grid.lanes;
-                    const int row = static_cast<int>(rest % grid.rows);
-                    const int col =
-                        static_cast<int>(rest / grid.rows);
-                    for (const auto &off : steals) {
-                        const int sl = lane + off.dl;
-                        const int sr = row + off.dr;
-                        const int sc = col + off.dc;
-                        if (sl >= grid.lanes || sr >= grid.rows ||
-                            sc >= grid.cols) {
+                    for (std::size_t k = 0; k < deltas.size(); ++k) {
+                        const std::int64_t src = s + deltas[k];
+                        if (!hasBit(reach + k * words, s) ||
+                            !hasBit(lend, src))
                             continue;
+                        std::int64_t t = first;
+                        while (!hasBit(pending.step(t), src))
+                            ++t;
+                        pending.step(t)[src >> 6] &=
+                            ~(std::uint64_t{1} << (src & 63));
+                        if (record)
+                            emit(t, coord(src), coord(s));
+                        do
+                            ++t;
+                        while (t < end && !hasBit(pending.step(t), src));
+                        if (t == end) {
+                            lend[src >> 6] &=
+                                ~(std::uint64_t{1} << (src & 63));
+                            --lenders;
                         }
-                        const std::int64_t src = s + off.delta;
-                        if ((elig[src >> 6] >>
-                             (src & 63) & 1u) == 0)
-                            continue;
-                        consume(src, sl, sr, sc, lane, row, col,
-                                false);
+                        ++consumed;
+                        ++result.stats.ops;
+                        ++result.stats.stolenOps;
                         break;
                     }
                 }
             }
         }
 
-        result.stats.idleSlotCycles += nslots - consumed_this_cycle;
+        remaining -= consumed;
+        result.stats.idleSlotCycles += nslots - consumed;
         if (remaining == 0)
             break;
 
         // Advance the window tail toward the earliest outstanding
         // element, bounded by buffer turnover (window depth) and the
         // SRAM bandwidth budget.
-        const std::int64_t min_head = kern.minI64(heads, nslots);
+        while (!live(first_live))
+            ++first_live;
 
         budget = std::min(budget + window.advanceCap,
                           window.budgetCeiling);
         std::int64_t advanced = 0;
         bool bw_limited = false;
-        while (w < min_head && advanced < w_limit) {
+        while (w < first_live && advanced < w_limit) {
             const double c = entering_cost(w);
             if (budget >= c) {
                 budget -= c;
@@ -256,36 +289,67 @@ runWindowSchedule(const SlotQueues &queues, const BorrowWindow &window,
                   bool record,
                   const std::vector<std::int64_t> *step_costs)
 {
-    // Compatibility shim over the CSR engine: flatten the per-slot
-    // vectors into arena-backed spans.  Hot callers build spans
-    // directly; this path serves tests and external callers.
-    const SlotGrid &grid = queues.grid();
-    const std::int64_t nslots = grid.slots();
-
     Arena &arena = workArena();
     ArenaScope scope(arena);
-    auto *offsets = arena.alloc<std::int64_t>(
-        static_cast<std::size_t>(nslots + 1));
-    std::int64_t total = 0;
-    const auto &raw = queues.raw();
-    for (std::int64_t s = 0; s < nslots; ++s) {
-        offsets[s] = total;
-        total += static_cast<std::int64_t>(
-            raw[static_cast<std::size_t>(s)].size());
-    }
-    offsets[nslots] = total;
-    auto *values =
-        arena.alloc<std::int64_t>(static_cast<std::size_t>(total));
-    std::int64_t at = 0;
-    for (std::int64_t s = 0; s < nslots; ++s)
-        for (const auto step : raw[static_cast<std::size_t>(s)])
-            values[at++] = step;
+    const auto &bits = queues.bits();
+    PendingSteps pending;
+    pending.grid = queues.grid();
+    pending.bits = arena.alloc<std::uint64_t>(bits.size());
+    std::copy(bits.begin(), bits.end(), pending.bits);
+    return runWindowSchedule(pending, window, record, step_costs);
+}
 
-    SlotQueueSpans spans;
-    spans.grid = grid;
-    spans.offsets = offsets;
-    spans.values = values;
-    return runWindowSchedule(spans, window, record, step_costs);
+const int *
+shuffleTable(const Shuffler &shuffler, Arena &arena)
+{
+    const int lanes = shuffler.lanes();
+    auto *table = arena.alloc<int>(
+        static_cast<std::size_t>(shuffler.period() * lanes));
+    for (int r = 0; r < shuffler.period(); ++r)
+        for (int k2 = 0; k2 < lanes; ++k2)
+            table[r * lanes + k2] = shuffler.apply(r, k2);
+    return table;
+}
+
+PendingSteps
+unitLanePending(const std::uint64_t *occ, const SlotGrid &grid,
+                const Shuffler &shuffler, Arena &arena)
+{
+    PendingSteps pending;
+    pending.grid = grid;
+    pending.bits = arena.allocZeroed<std::uint64_t>(
+        static_cast<std::size_t>(grid.steps * grid.slotWords()));
+    const int *lane_of = shuffleTable(shuffler, arena);
+    // When lanes divide 64, each bitmap word holds `per` whole units:
+    // unit u sits at bit (u % per) * lanes + lane of word u / per, so a
+    // table spreads `per` occupancy bits at once.
+    const int per = 64 % grid.lanes == 0 ? 64 / grid.lanes : 0;
+    std::uint64_t *spread = nullptr;
+    if (per >= 2 && per <= 8) {
+        spread = arena.allocZeroed<std::uint64_t>(std::size_t{1} << per);
+        for (int mask = 1; mask < 1 << per; ++mask)
+            for (int u = 0; u < per; ++u)
+                if (mask >> u & 1)
+                    spread[mask] |= std::uint64_t{1} << (u * grid.lanes);
+    }
+    for (std::int64_t k1 = 0; k1 < grid.steps; ++k1) {
+        std::uint64_t *p = pending.step(k1);
+        const int *perm = lane_of + k1 % shuffler.period() * grid.lanes;
+        for (int k2 = 0; k2 < grid.lanes; ++k2) {
+            std::uint64_t word = occ[k1 * grid.lanes + k2];
+            if (spread != nullptr) {
+                for (int i = 0; word != 0; ++i, word >>= per)
+                    p[i] |= spread[word & ((1u << per) - 1)] << perm[k2];
+                continue;
+            }
+            while (word != 0) {
+                const int bit = simd::ctz64(word) * grid.lanes + perm[k2];
+                word &= word - 1;
+                p[bit >> 6] |= std::uint64_t{1} << (bit & 63);
+            }
+        }
+    }
+    return pending;
 }
 
 } // namespace griffin

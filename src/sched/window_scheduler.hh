@@ -18,54 +18,59 @@
  * imbalance stalls the window unless laneDist / shuffle spreads load;
  * cross-PE borrowing needs the extra adder trees accounted elsewhere.
  *
- * An optional per-step cost vector supports dual-sparse stage 2, where
- * each "step" is a compressed B entry spanning several raw A steps.
+ * State is one pending-slot bitmap per step (PendingSteps).  Walking
+ * the window's steps in order, `pend & ~seen` is the set of slots whose
+ * head sits at that step, so pass 1 is word operations; the window
+ * tail's target (the earliest pending step) is a forward-only cursor.
+ *
+ * An optional per-step cost vector charges a step that stands for
+ * several raw operand steps (a compressed stream entry) at its raw
+ * streaming cost.
  */
 
 #ifndef GRIFFIN_SCHED_WINDOW_SCHEDULER_HH
 #define GRIFFIN_SCHED_WINDOW_SCHEDULER_HH
 
+#include "common/arena.hh"
 #include "sched/schedule.hh"
+#include "tensor/shuffle.hh"
 
 namespace griffin {
 
 /**
- * Borrowed (CSR) view of per-slot element queues: slot s owns
- * values[offsets[s] .. offsets[s+1]), ascending.  The hot builders
- * (b_preprocess / a_arbiter / dual on-the-fly) assemble this directly
- * in the per-thread work arena from occupancy bitmasks — no per-slot
- * vector allocation.
- */
-struct SlotQueueSpans
-{
-    SlotGrid grid;
-    const std::int64_t *offsets = nullptr; ///< grid.slots() + 1 entries
-    const std::int64_t *values = nullptr;  ///< offsets[grid.slots()]
-
-    std::int64_t
-    totalElements() const
-    {
-        return offsets[static_cast<std::size_t>(grid.slots())];
-    }
-};
-
-/**
  * Run the window schedule to completion.
  *
- * @param queues     per-slot effectual element steps (consumed FIFO)
+ * @param pending    per-step slot bitmaps of the effectual elements;
+ *                   consumed (every bit is clear on return)
  * @param window     borrow window and bandwidth parameters
  * @param record     when true, every executed op lands in result.ops
  * @param step_costs optional cost to stream past each step (default 1
  *                   each); size must equal grid.steps when given
  */
 ScheduleResult runWindowSchedule(
+    const PendingSteps &pending, const BorrowWindow &window, bool record,
+    const std::vector<std::int64_t> *step_costs = nullptr);
+
+/** The same engine over an owning SlotQueues (left unchanged). */
+ScheduleResult runWindowSchedule(
     const SlotQueues &queues, const BorrowWindow &window, bool record,
     const std::vector<std::int64_t> *step_costs = nullptr);
 
-/** The same engine over a CSR queue view (the hot-path entry). */
-ScheduleResult runWindowSchedule(
-    const SlotQueueSpans &queues, const BorrowWindow &window,
-    bool record, const std::vector<std::int64_t> *step_costs = nullptr);
+/**
+ * One period of the shuffler's lane map, allocated in `arena`: entry
+ * (k1 % shuffler.period()) * lanes + k2 is shuffler.apply(k1, k2).
+ */
+const int *shuffleTable(const Shuffler &shuffler, Arena &arena);
+
+/**
+ * Pending bitmaps of a single-sparse tile, allocated in `arena`.  Bit u
+ * of occ[k1 * lanes + k2] marks a nonzero element of unit u (a B column
+ * or an A row); it lands on slot u * lanes + shuffler.apply(k1, k2),
+ * which is slotIndex() whenever one of rows/cols is 1.
+ */
+PendingSteps unitLanePending(const std::uint64_t *occ,
+                             const SlotGrid &grid,
+                             const Shuffler &shuffler, Arena &arena);
 
 } // namespace griffin
 

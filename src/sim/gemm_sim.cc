@@ -78,8 +78,10 @@ struct ComputeStage
     std::int64_t colTiles;
 };
 
-/** Stage 2+3, SparsityMode::B: schedules depend only on B — simulate
- *  (a subset of) column tiles and multiply by the row-tile count. */
+/** Stage 2+3, SparsityMode::B: schedules depend only on B — count the
+ *  packing of (a subset of) column tiles and multiply by the row-tile
+ *  count.  Counting is cheaper than hashing a tile for a memo lookup,
+ *  so this mode never touches the schedule memo. */
 void
 simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
 {
@@ -87,20 +89,18 @@ simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
                              stage.opt.minSampledTiles, stage.opt.seed);
     std::int64_t sum = 0;
     for (const auto &t : picks) {
+        ScopedSpan span("b_schedule");
         TileViewB vb(*stage.ops.b, stage.shape, t.row * stage.shape.n0);
-        auto stream = obtainStream(stage.opt.scheduleMemo, vb,
-                                   stage.routing.b, stage.shuffler);
+        const auto stats = countB(vb, stage.routing.b, stage.shuffler);
         // Runtime is bandwidth-capped even though packing is offline:
         // replaying the stream can consume at most `bw` raw A steps
         // per cycle.
-        std::int64_t cycles = stream->cycles();
         const double min_cycles =
             static_cast<double>(vb.steps()) / stage.bw;
-        cycles = std::max<std::int64_t>(
-            cycles,
+        sum += std::max<std::int64_t>(
+            stats.cycles,
             static_cast<std::int64_t>(std::ceil(min_cycles)));
-        sum += cycles;
-        accumulate(result.sched, stream->stats());
+        accumulate(result.sched, stats);
     }
     result.computeCycles =
         scaleUp(sum, static_cast<std::int64_t>(picks.size()),

@@ -12,11 +12,13 @@
  *      computes them for free-standing matrices.
  *
  *   2. *Tiling + per-side schedule computation*: column tiles of B
- *      preprocess into compressed streams (memoized across the
- *      architectures of one batched sweep sub-job via
- *      runtime/schedule_memo.hh), row tiles of A run the arbiter
- *      scheduler.  Schedules are pure functions of tile content and
- *      routing, so memoized and fresh results are identical.
+ *      are packed under the B borrow window — Sparse.B only counts
+ *      the packing (countB), the preprocessed dual path builds the
+ *      compressed stream (memoized across the architectures of one
+ *      batched sweep sub-job via runtime/schedule_memo.hh) — and row
+ *      tiles of A run the arbiter scheduler.  Schedules are pure
+ *      functions of tile content and routing, so memoized and fresh
+ *      results are identical.
  *
  *   3. *Tile(-pair) cycle simulation + reduction*: the sampled tiles
  *      replay their schedules, sampled sums scale back to the full
@@ -78,12 +80,13 @@ struct SimOptions
     int drainCyclesPerTile = 0;
 
     /**
-     * Optional memo of B-side preprocessing (not owned, not
-     * thread-safe: the sweep runner gives each sub-job its own).
-     * Memoized and freshly-computed schedules are identical — this
-     * only skips repacking weight tiles another architecture of the
-     * same sub-job already packed.  nullptr computes every stream
-     * locally.
+     * Optional memo of B-side preprocessing for the preprocessed
+     * dual path (not owned, not thread-safe: the sweep runner gives
+     * each sub-job its own).  Memoized and freshly-computed schedules
+     * are identical — this only skips repacking weight tiles another
+     * architecture of the same sub-job already packed.  Sparse.B runs
+     * count their packing and never consult it.  nullptr computes
+     * every stream locally.
      */
     ScheduleMemo *scheduleMemo = nullptr;
 };

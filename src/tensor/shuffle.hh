@@ -44,6 +44,10 @@ class Shuffler
     int lanes() const { return lanes_; }
     int groupSize() const { return groupSize_; }
 
+    /** Steps after which the permutation repeats:
+     *  apply(step, lane) == apply(step % period(), lane). */
+    int period() const { return enabled_ ? groupSize_ : 1; }
+
     /** Post-shuffle lane of the element originally at (step, lane). */
     int
     apply(std::int64_t step, int lane) const

@@ -56,24 +56,6 @@ clusteredSparse(std::size_t rows, std::size_t cols, double sparsity,
 }
 
 MatrixI8
-unbalancedSparse(std::size_t rows, std::size_t cols, double sparsity,
-                 double spread, Rng &rng)
-{
-    GRIFFIN_ASSERT(spread >= 0.0, "negative spread ", spread);
-    MatrixI8 m(rows, cols);
-    for (std::size_t r = 0; r < rows; ++r) {
-        const double lo = std::max(0.0, sparsity - spread);
-        const double hi = std::min(1.0, sparsity + spread);
-        const double row_sparsity = lo + (hi - lo) * rng.uniform01();
-        std::int8_t *row = m.data() + r * cols;
-        for (std::size_t c = 0; c < cols; ++c)
-            if (!rng.bernoulli(row_sparsity))
-                row[c] = rng.nonzeroInt8();
-    }
-    return m;
-}
-
-MatrixI8
 laneBiasedSparse(std::size_t rows, std::size_t cols, double sparsity,
                  double bias, int period, Rng &rng)
 {
@@ -100,17 +82,6 @@ laneBiasedSparse(std::size_t rows, std::size_t cols, double sparsity,
                 row[c] = rng.nonzeroInt8();
     }
     return m;
-}
-
-void
-pruneInPlace(MatrixI8 &m, double sparsity, Rng &rng)
-{
-    GRIFFIN_ASSERT(sparsity >= 0.0 && sparsity <= 1.0,
-                   "sparsity ", sparsity, " outside [0,1]");
-    for (std::size_t r = 0; r < m.rows(); ++r)
-        for (std::size_t c = 0; c < m.cols(); ++c)
-            if (rng.bernoulli(sparsity))
-                m.at(r, c) = 0;
 }
 
 } // namespace griffin

@@ -39,14 +39,6 @@ MatrixI8 clusteredSparse(std::size_t rows, std::size_t cols,
                          double sparsity, double run_len, Rng &rng);
 
 /**
- * Unbalanced sparsity: each row r gets its own zero rate drawn
- * uniformly from [sparsity - spread, sparsity + spread] (clamped).
- * Stresses cross-lane imbalance.
- */
-MatrixI8 unbalancedSparse(std::size_t rows, std::size_t cols,
-                          double sparsity, double spread, Rng &rng);
-
-/**
  * Lane-biased sparsity for weight tensors: the nonzero rate of row k
  * is modulated by a periodic profile over (k mod period).
  *
@@ -61,12 +53,6 @@ MatrixI8 unbalancedSparse(std::size_t rows, std::size_t cols,
 MatrixI8 laneBiasedSparse(std::size_t rows, std::size_t cols,
                           double sparsity, double bias, int period,
                           Rng &rng);
-
-/**
- * Apply a pruning mask in place: zero each element independently with
- * probability `sparsity` (used to sparsify an existing tensor).
- */
-void pruneInPlace(MatrixI8 &m, double sparsity, Rng &rng);
 
 } // namespace griffin
 

@@ -6,12 +6,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "arch/presets.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "griffin/accelerator.hh"
+#include "runtime/experiment.hh"
+#include "runtime/schedule_memo.hh"
 #include "runtime/telemetry.hh"
+#include "sched/b_preprocess.hh"
 #include "sim/gemm_sim.hh"
+#include "sim/sampling.hh"
 #include "tensor/sparsity.hh"
+#include "tensor/workset.hh"
+#include "workloads/network.hh"
 
 namespace griffin {
 namespace {
@@ -268,6 +279,104 @@ TEST(GemmSim, StagedOperandsMatchMonolithicEntryPoint)
                                          arch, DnnCategory::AB, opt);
         expectResultsEq(staged, mono);
     }
+}
+
+TEST(GemmSim, SparseBLeavesTheScheduleMemoUntouched)
+{
+    // Sparse.B reads only the packing's counts, so it never looks up a
+    // stream; the memo serves the preprocessed dual path alone.
+    auto t = makeTensors(32, 512, 64, 0.0, 0.7, 33);
+    ScheduleMemo memo;
+    SimOptions opt;
+    opt.scheduleMemo = &memo;
+    const auto arch = unboundDram(sparseBStar());
+    const auto with = simulateGemm(t.a, t.b, arch, DnnCategory::B, opt);
+    EXPECT_EQ(memo.stats().hits + memo.stats().misses, 0u);
+    expectResultsEq(with, simulateGemm(t.a, t.b, arch, DnnCategory::B));
+
+    simulateGemm(t.a, t.b, unboundDram(sparseABStar()), DnnCategory::AB,
+                 opt);
+    EXPECT_GT(memo.stats().misses, 0u);
+}
+
+TEST(GemmSim, CountBMatchesPreprocessBOnFig5SmokeTiles)
+{
+    // Every column tile fig5 samples at the CI smoke fidelity
+    // (`run fig5 --sample 0.01 --rowcap 4`, seed 1, lane bias 0.5),
+    // under every design point's B routing: the count-only pass
+    // Sparse.B simulates with equals the packed stream's length and
+    // statistics.
+    std::vector<std::string> names;
+    const int points[][3] = {
+        {2, 0, 0}, {2, 1, 0}, {2, 2, 0}, {2, 0, 1}, {2, 1, 1},
+        {2, 0, 2}, {4, 0, 0}, {4, 0, 1}, {4, 0, 2}, {6, 0, 0},
+        {6, 0, 1},
+    };
+    for (const auto &p : points)
+        for (const char *shuffle : {"off", "on"})
+            names.push_back("B(" + std::to_string(p[0]) + "," +
+                            std::to_string(p[1]) + "," +
+                            std::to_string(p[2]) + "," + shuffle + ")");
+    names.push_back("TCL.B");
+    names.push_back("Sparse.B*");
+
+    RunOptions run;
+    run.sim.sampleFraction = 0.01;
+    run.sim.minSampledTiles = defaultMinSampledTiles;
+    run.rowCap = 4;
+    run.seed = 1;
+    run.weightLaneBias = 0.5;
+
+    std::int64_t tiles = 0;
+    for (const auto &net : benchmarkSuite()) {
+        for (std::size_t l = 0; l < net.layerCount(); ++l) {
+            // Archs with one tile shape share the layer's workset.
+            std::vector<std::pair<WorksetParams, LayerWorkset>> worksets;
+            for (const auto &name : names) {
+                const auto arch = archByName(name);
+                const auto routing = arch.effectiveRouting(DnnCategory::B);
+                ASSERT_EQ(routing.mode, SparsityMode::B) << name;
+                const auto params = Accelerator(arch).layerWorksetParams(
+                    net, l, DnnCategory::B, run);
+                auto it = std::find_if(
+                    worksets.begin(), worksets.end(),
+                    [&](const auto &w) { return w.first == params; });
+                if (it == worksets.end())
+                    it = worksets.insert(
+                        it, {params, generateLayerWorkset(params)});
+                const LayerWorkset &ws = it->second;
+
+                const TileShape &shape = arch.tile;
+                const Shuffler sh(routing.shuffle, shape.k0);
+                const auto col_tiles =
+                    (static_cast<std::int64_t>(ws.b.cols()) + shape.n0 -
+                     1) /
+                    shape.n0;
+                for (const auto &t :
+                     sampleTiles(col_tiles, 1, run.sim.sampleFraction,
+                                 run.sim.minSampledTiles, ws.simSeed)) {
+                    TileViewB vb(ws.b, shape, t.row * shape.n0);
+                    const auto count = countB(vb, routing.b, sh);
+                    const auto stream = preprocessB(vb, routing.b, sh,
+                                                    false);
+                    const auto &want = stream.stats();
+                    SCOPED_TRACE(net.name + " layer " + std::to_string(l) +
+                                 " tile " + std::to_string(t.row) + " " +
+                                 name);
+                    ASSERT_EQ(count.cycles, stream.cycles());
+                    ASSERT_EQ(count.cycles, want.cycles);
+                    ASSERT_EQ(count.ops, want.ops);
+                    ASSERT_EQ(count.ownOps, want.ownOps);
+                    ASSERT_EQ(count.stolenOps, want.stolenOps);
+                    ASSERT_EQ(count.idleSlotCycles, want.idleSlotCycles);
+                    ASSERT_EQ(count.bwLimitedCycles,
+                              want.bwLimitedCycles);
+                    ++tiles;
+                }
+            }
+        }
+    }
+    EXPECT_GT(tiles, 1000);
 }
 
 } // namespace

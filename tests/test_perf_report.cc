@@ -277,5 +277,36 @@ TEST(PerfReport, GatePassesOnIdenticalDocuments)
     EXPECT_TRUE(perfGateViolations(doc, doc, 0.10).empty());
 }
 
+TEST(PerfReport, GateFailsAnEmptyOldDocument)
+{
+    // Nothing to compare against is not a pass, whatever the new
+    // document holds.
+    const PerfDocument empty;
+    const auto violations = perfGateViolations(
+        empty, suiteWith({{"fig5", 12.0}}), 0.10);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_NE(violations[0].find("no experiments"), std::string::npos)
+        << violations[0];
+    EXPECT_FALSE(perfGateViolations(empty, empty, 0.10).empty());
+}
+
+TEST(PerfReport, GateFailsAnOldEntryWithoutThroughput)
+{
+    const PerfDocument old_doc = suiteWith({{"a", 100.0}, {"b", 0.0}});
+    const auto violations = perfGateViolations(
+        old_doc, suiteWith({{"a", 100.0}, {"b", 50.0}}), 0.10);
+    ASSERT_EQ(violations.size(), 1u);
+    EXPECT_EQ(violations[0].rfind("b:", 0), 0u) << violations[0];
+}
+
+TEST(PerfReport, GateFailsAtHalfTheThroughput)
+{
+    const PerfDocument old_doc =
+        suiteWith({{"fig5", 12.0}, {"fig6", 3.0}, {"fig7", 2.0}});
+    const PerfDocument slowed =
+        suiteWith({{"fig5", 6.0}, {"fig6", 1.5}, {"fig7", 1.0}});
+    EXPECT_EQ(perfGateViolations(old_doc, slowed, 0.10).size(), 3u);
+}
+
 } // namespace
 } // namespace griffin

@@ -179,6 +179,54 @@ TEST(ScheduleMemo, HitsOnIdenticalContentMissesOnDifferent)
     EXPECT_EQ(memo.stats().entries, 4u);
 }
 
+TEST(ScheduleMemo, KeyFollowsTheZeroPatternNotTheValues)
+{
+    Rng rng(13);
+    auto b = randomSparse(96, 16, 0.6, rng);
+    TileShape shape;
+    const Borrow db{2, 1, 1};
+    Shuffler shuffler(true, shape.k0);
+    const auto key = [&](const MatrixI8 &m) {
+        return ScheduleMemo::contentKey(TileViewB(m, shape, 0), db,
+                                        shuffler);
+    };
+
+    // Same zero pattern, other values: one schedule, one key.
+    auto revalued = b;
+    for (std::size_t k = 0; k < b.rows(); ++k)
+        for (std::size_t j = 0; j < b.cols(); ++j)
+            if (revalued.at(k, j) != 0)
+                revalued.at(k, j) = revalued.at(k, j) == 1 ? 2 : 1;
+    EXPECT_EQ(key(b), key(revalued));
+
+    // One zero turned nonzero: another key.
+    auto flipped = b;
+    std::size_t zk = 0, zj = 0;
+    while (flipped.at(zk, zj) != 0) {
+        if (++zj == b.cols()) {
+            zj = 0;
+            ++zk;
+        }
+    }
+    flipped.at(zk, zj) = 5;
+    EXPECT_NE(key(b), key(flipped));
+
+    // An edge tile: the matrix ends after 11 columns and the view pads
+    // the other 5 with zeros.  That is another schedule than the full
+    // tile's, and the same one as a full tile whose last 5 columns are
+    // zero.
+    MatrixI8 edge(b.rows(), 11);
+    auto zero_tail = b;
+    for (std::size_t k = 0; k < b.rows(); ++k) {
+        for (std::size_t j = 0; j < 11; ++j)
+            edge.at(k, j) = b.at(k, j);
+        for (std::size_t j = 11; j < b.cols(); ++j)
+            zero_tail.at(k, j) = 0;
+    }
+    EXPECT_NE(key(b), key(edge));
+    EXPECT_EQ(key(edge), key(zero_tail));
+}
+
 // ---- runner ---------------------------------------------------------
 
 SweepSpec

@@ -67,41 +67,6 @@ TEST(Sparsity, ClusteredHasLongerRunsThanIid)
     EXPECT_LT(count_runs(clustered), count_runs(iid) / 2);
 }
 
-TEST(Sparsity, UnbalancedVariesByRow)
-{
-    Rng rng(57);
-    auto m = unbalancedSparse(100, 400, 0.5, 0.4, rng);
-    double min_rate = 1.0, max_rate = 0.0;
-    for (std::size_t r = 0; r < m.rows(); ++r) {
-        std::size_t z = 0;
-        for (std::size_t c = 0; c < m.cols(); ++c)
-            z += m.at(r, c) == 0;
-        const double rate = static_cast<double>(z) / m.cols();
-        min_rate = std::min(min_rate, rate);
-        max_rate = std::max(max_rate, rate);
-    }
-    EXPECT_LT(min_rate, 0.3);
-    EXPECT_GT(max_rate, 0.7);
-    EXPECT_NEAR(m.sparsity(), 0.5, 0.06);
-}
-
-TEST(Sparsity, PruneInPlaceIncreasesSparsity)
-{
-    Rng rng(58);
-    auto m = randomDense(100, 100, rng);
-    pruneInPlace(m, 0.9, rng);
-    EXPECT_NEAR(m.sparsity(), 0.9, 0.02);
-}
-
-TEST(Sparsity, PruneZeroRateIsNoOp)
-{
-    Rng rng(59);
-    auto m = randomDense(20, 20, rng);
-    auto before = m;
-    pruneInPlace(m, 0.0, rng);
-    EXPECT_EQ(m, before);
-}
-
 TEST(Sparsity, LaneBiasedHitsOverallTarget)
 {
     Rng rng(61);

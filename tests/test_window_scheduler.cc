@@ -7,7 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <sstream>
+#include <string>
+
+#include "common/rng.hh"
+#include "sched/a_arbiter.hh"
+#include "sched/b_preprocess.hh"
+#include "sched/dual_scheduler.hh"
 #include "sched/window_scheduler.hh"
+#include "tensor/sparsity.hh"
 
 namespace griffin {
 namespace {
@@ -260,6 +269,394 @@ TEST(WindowSchedulerDeathTest, QueuePushValidation)
     EXPECT_DEATH(q.push(0, 2, 0, 0), "outside grid");
     q.push(2, 0, 0, 0);
     EXPECT_DEATH(q.push(1, 0, 0, 0), "increasing step order");
+}
+
+// ---- pinned schedules ------------------------------------------------
+//
+// Exact stats and op-sequence hashes of the engine on seeded grids,
+// recorded from the per-slot CSR queue engine the bitmap engine
+// replaced.  Any rewrite must reproduce them bit for bit.
+
+/** FNV-1a over every field of a recorded op sequence. */
+std::uint64_t
+hashOps(const std::vector<ScheduledOp> &ops)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::int64_t v) {
+        h ^= static_cast<std::uint64_t>(v);
+        h *= 1099511628211ull;
+    };
+    for (const auto &op : ops) {
+        mix(op.step);
+        mix(op.lane);
+        mix(op.row);
+        mix(op.col);
+        mix(op.consumerLane);
+        mix(op.consumerRow);
+        mix(op.consumerCol);
+        mix(op.cycle);
+    }
+    return h;
+}
+
+std::uint64_t
+hashOps(const std::vector<DualOp> &ops)
+{
+    std::uint64_t h = 1469598103934665603ull;
+    auto mix = [&h](std::int64_t v) {
+        h ^= static_cast<std::uint64_t>(v);
+        h *= 1099511628211ull;
+    };
+    for (const auto &op : ops) {
+        mix(op.flatK);
+        mix(op.m);
+        mix(op.homeCol);
+        mix(op.cycle);
+    }
+    return h;
+}
+
+std::string
+describe(const char *name, const ScheduleStats &s, std::uint64_t hash)
+{
+    std::ostringstream os;
+    os << "actual: {" << s.cycles << ", " << s.ops << ", " << s.ownOps
+       << ", " << s.stolenOps << ", " << s.idleSlotCycles << ", "
+       << s.bwLimitedCycles << "}, 0x" << std::hex << hash
+       << "ull} for " << name;
+    return os.str();
+}
+
+void
+expectStats(const ScheduleStats &got, const ScheduleStats &want)
+{
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.ops, want.ops);
+    EXPECT_EQ(got.ownOps, want.ownOps);
+    EXPECT_EQ(got.stolenOps, want.stolenOps);
+    EXPECT_EQ(got.idleSlotCycles, want.idleSlotCycles);
+    EXPECT_EQ(got.bwLimitedCycles, want.bwLimitedCycles);
+}
+
+/** A raw slot grid with seeded occupancy, run straight through the
+ *  engine — the only callers of per-step costs. */
+struct QueuePin
+{
+    const char *name;
+    std::uint64_t seed;
+    SlotGrid grid;
+    double density;      ///< chance a (step, slot) holds an element
+    BorrowWindow window;
+    std::int64_t maxCost; ///< step costs drawn from [0, maxCost]; 0 = none
+    ScheduleStats stats;
+    std::uint64_t opsHash;
+};
+
+// Columns: name, seed, grid {steps, lanes, rows, cols}, density,
+// window {steps, lane, row, col, advanceCap, budgetCeiling}, max step
+// cost, stats {cycles, ops, own, stolen, idle, bwLimited}, op hash.
+const QueuePin kQueuePins[] = {
+    {"q_plain", 201, {60, 4, 1, 1}, 0.4, {3, 0, 0, 0, 3.0, 3.0}, 0,
+     {34, 91, 91, 0, 45, 0}, 0x5641e089e7a73a39ull},
+    {"q_steal_3d", 202, {50, 4, 3, 7}, 0.35, {3, 1, 1, 1, 3.0, 3.0}, 0,
+     {29, 1472, 1287, 185, 964, 0}, 0xeb88dc5f0f46fe3bull},
+    {"q_frac_cap", 203, {80, 4, 2, 2}, 0.2, {4, 1, 0, 1, 1.5, 4.0}, 0,
+     {52, 245, 233, 12, 587, 50}, 0xfc85ec3648ce783full},
+    {"q_costs", 204, {70, 8, 2, 5}, 0.3, {3, 2, 1, 0, 2.5, 6.0}, 6,
+     {74, 1686, 1546, 140, 4234, 62}, 0xc52564597f7bc88full},
+    {"q_costs_frac", 205, {90, 16, 1, 4}, 0.15, {5, 1, 0, 2, 0.75, 5.0},
+     5, {298, 854, 824, 30, 18218, 296}, 0xbed28b62977c329eull},
+    {"q_sparse_tail", 206, {120, 4, 4, 5}, 0.05, {2, 0, 1, 1, 2.0, 2.0},
+     0, {62, 459, 451, 8, 4501, 0}, 0xbee34ffab36685c5ull},
+};
+
+ScheduleResult
+runQueuePin(const QueuePin &pin, bool record)
+{
+    Rng rng(pin.seed);
+    SlotQueues q(pin.grid);
+    for (std::int64_t s = 0; s < pin.grid.steps; ++s)
+        for (int c = 0; c < pin.grid.cols; ++c)
+            for (int r = 0; r < pin.grid.rows; ++r)
+                for (int l = 0; l < pin.grid.lanes; ++l)
+                    if (rng.bernoulli(pin.density))
+                        q.push(s, l, r, c);
+    std::vector<std::int64_t> costs;
+    for (std::int64_t s = 0; pin.maxCost > 0 && s < pin.grid.steps; ++s)
+        costs.push_back(rng.uniformInt(0, pin.maxCost));
+    return runWindowSchedule(q, pin.window, record,
+                             costs.empty() ? nullptr : &costs);
+}
+
+TEST(WindowSchedulerPinned, QueueGridsMatchRecordedValues)
+{
+    for (const auto &pin : kQueuePins) {
+        const auto plain = runQueuePin(pin, false);
+        const auto recorded = runQueuePin(pin, true);
+        const auto h = hashOps(recorded.ops);
+        SCOPED_TRACE(describe(pin.name, plain.stats, h));
+        expectStats(plain.stats, pin.stats);
+        expectStats(recorded.stats, pin.stats);
+        EXPECT_EQ(h, pin.opsHash);
+    }
+}
+
+/** One A tile through scheduleA at a (possibly fractional) ASRAM
+ *  bandwidth. */
+struct APin
+{
+    const char *name;
+    std::uint64_t seed;
+    TileShape shape;
+    std::size_t k;
+    double sparsity;
+    int da1, da2, da3;
+    bool shuffle;
+    double bw;
+    ScheduleStats stats;
+    std::uint64_t opsHash;
+};
+
+// Columns: name, seed, shape {m0, n0, k0}, K, sparsity, da1..da3,
+// shuffle, bandwidth, stats, op hash.
+const APin kAPins[] = {
+    {"a_da1_0", 301, {4, 16, 16}, 512, 0.5, 0, 0, 0, false, 1.0,
+     {32, 1049, 1049, 0, 999, 0}, 0x23a860ab5fd9887full},
+    {"a_frac_bw", 302, {4, 16, 16}, 640, 0.6, 2, 0, 0, true, 1.5,
+     {30, 1030, 1030, 0, 890, 0}, 0xdca37f1aed5c63a6ull},
+    {"a_steal", 303, {4, 16, 16}, 768, 0.7, 3, 1, 1, true, 2.5,
+     {24, 928, 825, 103, 608, 0}, 0x20e70bc4d4f527b7ull},
+    {"a_wide", 304, {8, 16, 16}, 500, 0.55, 2, 2, 1, false, 3.0,
+     {21, 1815, 1582, 233, 873, 0}, 0x67ec83d0a310dab2ull},
+    {"a_partial", 305, {6, 16, 12}, 333, 0.65, 1, 1, 2, true, 1.25,
+     {22, 677, 637, 40, 907, 10}, 0x483f726dc9c43faull},
+    {"a_low_bw", 306, {4, 16, 16}, 1024, 0.85, 4, 0, 1, true, 0.75,
+     {80, 639, 635, 4, 4481, 78}, 0xb253668e60232412ull},
+};
+
+ScheduleResult
+runAPin(const APin &pin, bool record)
+{
+    Rng rng(pin.seed);
+    auto a = randomSparse(static_cast<std::size_t>(pin.shape.m0), pin.k,
+                          pin.sparsity, rng);
+    Shuffler sh(pin.shuffle, pin.shape.k0);
+    TileViewA va(a, pin.shape, 0);
+    return scheduleA(va, Borrow{pin.da1, pin.da2, pin.da3}, sh, pin.bw,
+                     record);
+}
+
+TEST(WindowSchedulerPinned, AGridsMatchRecordedValues)
+{
+    for (const auto &pin : kAPins) {
+        const auto plain = runAPin(pin, false);
+        const auto recorded = runAPin(pin, true);
+        const auto h = hashOps(recorded.ops);
+        SCOPED_TRACE(describe(pin.name, plain.stats, h));
+        expectStats(plain.stats, pin.stats);
+        expectStats(recorded.stats, pin.stats);
+        EXPECT_EQ(h, pin.opsHash);
+    }
+}
+
+/** One B tile packed by preprocessB; `n` below the tile's col base
+ *  plus n0 leaves zero-padded edge columns. */
+struct BPin
+{
+    const char *name;
+    std::uint64_t seed;
+    TileShape shape;
+    std::size_t k;
+    std::size_t n;       ///< B columns; the tile starts at column 0
+    double sparsity;
+    double laneBias;     ///< laneBiasedSparse depth, period 4
+    int db1, db2, db3;
+    bool shuffle;
+    bool zeroCols;       ///< zero every third B column
+    ScheduleStats stats;
+    std::uint64_t opsHash;
+};
+
+// Columns: name, seed, shape {m0, n0, k0}, K, N, sparsity, lane bias,
+// db1..db3, shuffle, zero columns, stats, op hash.
+const BPin kBPins[] = {
+    {"b_db1_0", 401, {4, 16, 16}, 256, 16, 0.5, 0.0, 0, 0, 0, false,
+     false, {16, 2014, 2014, 0, 2082, 0}, 0xba38c193c9819167ull},
+    {"b_db1_1", 402, {4, 16, 16}, 300, 16, 0.6, 0.0, 1, 0, 0, true,
+     false, {17, 1893, 1893, 0, 2459, 0}, 0x781020c2666373deull},
+    {"b_db1_2", 403, {4, 16, 16}, 512, 16, 0.7, 0.5, 2, 1, 0, false,
+     false, {24, 2439, 2282, 157, 3705, 0}, 0xf73b1217893bddfaull},
+    {"b_db1_3", 404, {4, 16, 16}, 640, 16, 0.8, 0.5, 3, 0, 1, true,
+     false, {20, 2075, 1922, 153, 3045, 0}, 0xf0c0f006c798997ull},
+    {"b_db1_4", 405, {4, 16, 16}, 1152, 16, 0.6, 1.0, 4, 0, 1, true,
+     true, {35, 4585, 3800, 785, 4375, 0}, 0x9d4e605035bbfb63ull},
+    {"b_db1_5", 406, {4, 16, 16}, 777, 16, 0.9, 0.5, 5, 2, 0, false,
+     true, {15, 793, 709, 84, 3047, 0}, 0xaf01d0b27a3b828full},
+    {"b_db1_6", 407, {4, 16, 16}, 1024, 16, 0.75, 1.0, 6, 0, 2, true,
+     false, {25, 4124, 3698, 426, 2276, 0}, 0xeb010c8678a6d654ull},
+    {"b_lane_col", 408, {4, 16, 16}, 960, 16, 0.7, 1.0, 2, 2, 1, false,
+     false, {45, 4622, 4115, 507, 6898, 0}, 0xf1580d82644eb0bdull},
+    {"b_edge_tile", 409, {4, 16, 16}, 512, 11, 0.5, 0.5, 4, 1, 1, true,
+     false, {19, 2816, 2505, 311, 2048, 0}, 0xf77cdab69e9e2015ull},
+    {"b_one_word", 410, {4, 4, 16}, 384, 4, 0.6, 0.5, 2, 1, 1, true,
+     true, {14, 347, 289, 58, 549, 0}, 0x74897cef75d6bb0bull},
+    {"b_partial_word", 411, {4, 5, 12}, 27, 5, 0.3, 0.0, 3, 1, 1, true,
+     false, {3, 97, 93, 4, 83, 0}, 0xad00e440bff7ab76ull},
+    {"b_dense", 412, {4, 16, 16}, 256, 16, 0.0, 0.0, 2, 1, 1, true,
+     false, {16, 4096, 4096, 0, 0, 0}, 0xe77e3bd4708ea383ull},
+    {"b_empty", 413, {4, 16, 16}, 256, 16, 1.0, 0.0, 2, 1, 1, true,
+     false, {0, 0, 0, 0, 0, 0}, 0x14650fb0739d0383ull},
+};
+
+struct BPinRun
+{
+    BSchedule plain, recorded;
+};
+
+BPinRun
+runBPin(const BPin &pin)
+{
+    Rng rng(pin.seed);
+    auto b = laneBiasedSparse(pin.k, pin.n, pin.sparsity, pin.laneBias,
+                              4, rng);
+    if (pin.zeroCols)
+        for (std::size_t k = 0; k < pin.k; ++k)
+            for (std::size_t j = 0; j < b.cols(); j += 3)
+                b.at(k, j) = 0;
+    Shuffler sh(pin.shuffle, pin.shape.k0);
+    TileViewB vb(b, pin.shape, 0);
+    const Borrow db{pin.db1, pin.db2, pin.db3};
+    return {preprocessB(vb, db, sh, false), preprocessB(vb, db, sh, true)};
+}
+
+TEST(WindowSchedulerPinned, BGridsMatchRecordedValues)
+{
+    for (const auto &pin : kBPins) {
+        const auto run = runBPin(pin);
+        const auto h = hashOps(run.recorded.ops());
+        SCOPED_TRACE(describe(pin.name, run.plain.stats(), h));
+        expectStats(run.plain.stats(), pin.stats);
+        expectStats(run.recorded.stats(), pin.stats);
+        EXPECT_EQ(run.plain.cycles(), pin.stats.cycles);
+        EXPECT_EQ(h, pin.opsHash);
+        EXPECT_TRUE(run.plain.ops().empty());
+    }
+}
+
+/** One tile pair through the on-the-fly dual path: the full
+ *  M0 x N0 x K0 slot grid (1024 slots at the default shape). */
+struct DualPin
+{
+    const char *name;
+    std::uint64_t seed;
+    TileShape shape;
+    std::size_t k;
+    double aSparsity, bSparsity;
+    int da1, da2, da3, db1, db2, db3;
+    bool shuffle;
+    double bw;
+    ScheduleStats stats;
+    std::uint64_t opsHash;
+};
+
+// Columns: name, seed, shape, K, A and B sparsity, da1..da3,
+// db1..db3, shuffle, bandwidth, stage-2 stats, op hash.
+const DualPin kDualPins[] = {
+    {"otf_plain", 501, {4, 16, 16}, 512, 0.5, 0.5, 2, 0, 0, 2, 0, 0,
+     false, 3.0, {24, 7948, 7948, 0, 16628, 0}, 0x1046d598661682a8ull},
+    {"otf_steal", 502, {4, 16, 16}, 768, 0.6, 0.7, 3, 1, 1, 2, 1, 1,
+     true, 2.5, {22, 5842, 5362, 480, 16686, 2}, 0x7451f3938cc13627ull},
+    {"otf_low_bw", 503, {4, 16, 16}, 1024, 0.7, 0.8, 4, 0, 1, 4, 1, 0,
+     true, 1.5, {41, 3936, 3848, 88, 38048, 39}, 0x65b285deda2c876dull},
+    {"otf_dense_a", 504, {4, 16, 16}, 256, 0.0, 0.6, 1, 1, 0, 1, 0, 1,
+     false, 2.0, {12, 6516, 5972, 544, 5772, 0}, 0x8b699343408fb887ull},
+    {"otf_ragged_k", 505, {4, 16, 16}, 203, 0.4, 0.4, 2, 1, 1, 3, 0, 1,
+     true, 4.0, {9, 4943, 4344, 599, 4273, 0}, 0x322f23302a6ea866ull},
+};
+
+DualSchedule
+runDualPin(const DualPin &pin, bool record)
+{
+    Rng rng(pin.seed);
+    auto a = randomSparse(static_cast<std::size_t>(pin.shape.m0), pin.k,
+                          pin.aSparsity, rng);
+    auto b = randomSparse(pin.k, static_cast<std::size_t>(pin.shape.n0),
+                          pin.bSparsity, rng);
+    const auto cfg = RoutingConfig::sparseAB(
+        pin.da1, pin.da2, pin.da3, pin.db1, pin.db2, pin.db3, pin.shuffle,
+        /*preprocess_b=*/false);
+    Shuffler sh(cfg.shuffle, pin.shape.k0);
+    TileViewA va(a, pin.shape, 0);
+    TileViewB vb(b, pin.shape, 0);
+    return scheduleDual(va, vb, cfg, sh, nullptr, pin.bw, record);
+}
+
+TEST(WindowSchedulerPinned, OnTheFlyDualGridsMatchRecordedValues)
+{
+    for (const auto &pin : kDualPins) {
+        const auto plain = runDualPin(pin, false);
+        const auto recorded = runDualPin(pin, true);
+        const auto h = hashOps(recorded.ops);
+        SCOPED_TRACE(describe(pin.name, plain.stage2, h));
+        expectStats(plain.stage2, pin.stats);
+        expectStats(recorded.stage2, pin.stats);
+        EXPECT_EQ(plain.cycles, pin.stats.cycles);
+        EXPECT_EQ(plain.effectualPairs, pin.stats.ops);
+        EXPECT_EQ(h, pin.opsHash);
+    }
+}
+
+TEST(WindowSchedulerPinned, MatrixCoversTheEngineBranches)
+{
+    // A pin only guards what it exercises: stealing and bandwidth
+    // limits on every caller, every B window depth 0..6, shuffle both
+    // ways, multi-word and partial-word slot sets.
+    bool q_costs = false, q_frac = false, q_multi = false;
+    for (const auto &pin : kQueuePins) {
+        q_costs |= pin.maxCost > 0 && pin.stats.bwLimitedCycles > 0;
+        q_frac |= pin.window.advanceCap != std::floor(pin.window.advanceCap);
+        q_multi |= pin.grid.slots() > 64 && pin.grid.slots() % 64 != 0;
+    }
+    EXPECT_TRUE(q_costs);
+    EXPECT_TRUE(q_frac);
+    EXPECT_TRUE(q_multi);
+
+    bool a_steal = false, a_bw = false, a_multi = false;
+    for (const auto &pin : kAPins) {
+        a_steal |= pin.stats.stolenOps > 0;
+        a_bw |= pin.stats.bwLimitedCycles > 0;
+        a_multi |= pin.shape.m0 * pin.shape.k0 > 64;
+    }
+    EXPECT_TRUE(a_steal);
+    EXPECT_TRUE(a_bw);
+    EXPECT_TRUE(a_multi);
+
+    bool db1_seen[7] = {};
+    bool b_steal = false, b_shuffle[2] = {}, b_zero = false;
+    bool b_edge = false, b_one_word = false, b_multi = false;
+    for (const auto &pin : kBPins) {
+        db1_seen[pin.db1] = true;
+        b_steal |= pin.stats.stolenOps > 0;
+        b_shuffle[pin.shuffle] = true;
+        b_zero |= pin.zeroCols && pin.stats.ops > 0;
+        b_edge |= pin.n < static_cast<std::size_t>(pin.shape.n0);
+        const int slots = pin.shape.n0 * pin.shape.k0;
+        b_one_word |= slots <= 64;
+        b_multi |= slots > 64;
+    }
+    for (bool seen : db1_seen)
+        EXPECT_TRUE(seen);
+    EXPECT_TRUE(b_steal && b_shuffle[0] && b_shuffle[1] && b_zero);
+    EXPECT_TRUE(b_edge && b_one_word && b_multi);
+
+    bool d_steal = false, d_bw = false;
+    for (const auto &pin : kDualPins) {
+        EXPECT_EQ(pin.shape.m0 * pin.shape.n0 * pin.shape.k0, 1024);
+        d_steal |= pin.stats.stolenOps > 0;
+        d_bw |= pin.stats.bwLimitedCycles > 0;
+    }
+    EXPECT_TRUE(d_steal);
+    EXPECT_TRUE(d_bw);
 }
 
 } // namespace
