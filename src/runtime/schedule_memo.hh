@@ -14,7 +14,8 @@
  * when the sub-job ends.
  *
  * Sparse.B runs never consult the memo: they need only the packing's
- * counts (countB()), which cost less than hashing the tile for a key.
+ * counts (countB()), and few of their tiles repeat — on the fig5 grid
+ * 8% of lookups hit, while a key costs a sixth to a half of a count.
  *
  * The memo is therefore single-threaded and short-lived: no lock, no
  * byte budget, no eviction, no persistence.  Memoized and freshly

@@ -12,9 +12,6 @@ ScheduleResult
 scheduleA(const TileViewA &a, const Borrow &da, const Shuffler &shuffler,
           double advance_cap, bool record)
 {
-    GRIFFIN_ASSERT(shuffler.lanes() == a.lanes(),
-                   "shuffler is ", shuffler.lanes(), " lanes wide, tile ",
-                   a.lanes());
     GRIFFIN_ASSERT(advance_cap > 0.0, "non-positive advance cap");
 
     SlotGrid grid;

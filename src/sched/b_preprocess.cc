@@ -20,10 +20,6 @@ ScheduleResult
 packB(const TileViewB &b, const Borrow &db, const Shuffler &shuffler,
       bool record)
 {
-    GRIFFIN_ASSERT(shuffler.lanes() == b.lanes(),
-                   "shuffler is ", shuffler.lanes(), " lanes wide, tile ",
-                   b.lanes());
-
     SlotGrid grid;
     grid.steps = b.steps();
     grid.lanes = b.lanes();

@@ -385,7 +385,7 @@ scheduleOnTheFly(const TileViewA &a, const TileViewB &b,
     pending.grid = grid;
     pending.bits = arena.allocZeroed<std::uint64_t>(
         static_cast<std::size_t>(grid.steps * grid.slotWords()));
-    const int *lane_of = shuffleTable(shuffler, arena);
+    const int *lane_of = shuffleTable(shuffler, grid.lanes, arena);
     for (std::int64_t f = 0; f < flat; ++f) {
         if (occA[f] == 0 || occB[f] == 0)
             continue;

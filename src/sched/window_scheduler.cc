@@ -300,9 +300,10 @@ runWindowSchedule(const SlotQueues &queues, const BorrowWindow &window,
 }
 
 const int *
-shuffleTable(const Shuffler &shuffler, Arena &arena)
+shuffleTable(const Shuffler &shuffler, int lanes, Arena &arena)
 {
-    const int lanes = shuffler.lanes();
+    GRIFFIN_ASSERT(shuffler.lanes() == lanes, "shuffler is ",
+                   shuffler.lanes(), " lanes wide, tile ", lanes);
     auto *table = arena.alloc<int>(
         static_cast<std::size_t>(shuffler.period() * lanes));
     for (int r = 0; r < shuffler.period(); ++r)
@@ -319,29 +320,12 @@ unitLanePending(const std::uint64_t *occ, const SlotGrid &grid,
     pending.grid = grid;
     pending.bits = arena.allocZeroed<std::uint64_t>(
         static_cast<std::size_t>(grid.steps * grid.slotWords()));
-    const int *lane_of = shuffleTable(shuffler, arena);
-    // When lanes divide 64, each bitmap word holds `per` whole units:
-    // unit u sits at bit (u % per) * lanes + lane of word u / per, so a
-    // table spreads `per` occupancy bits at once.
-    const int per = 64 % grid.lanes == 0 ? 64 / grid.lanes : 0;
-    std::uint64_t *spread = nullptr;
-    if (per >= 2 && per <= 8) {
-        spread = arena.allocZeroed<std::uint64_t>(std::size_t{1} << per);
-        for (int mask = 1; mask < 1 << per; ++mask)
-            for (int u = 0; u < per; ++u)
-                if (mask >> u & 1)
-                    spread[mask] |= std::uint64_t{1} << (u * grid.lanes);
-    }
+    const int *lane_of = shuffleTable(shuffler, grid.lanes, arena);
     for (std::int64_t k1 = 0; k1 < grid.steps; ++k1) {
         std::uint64_t *p = pending.step(k1);
         const int *perm = lane_of + k1 % shuffler.period() * grid.lanes;
         for (int k2 = 0; k2 < grid.lanes; ++k2) {
             std::uint64_t word = occ[k1 * grid.lanes + k2];
-            if (spread != nullptr) {
-                for (int i = 0; word != 0; ++i, word >>= per)
-                    p[i] |= spread[word & ((1u << per) - 1)] << perm[k2];
-                continue;
-            }
             while (word != 0) {
                 const int bit = simd::ctz64(word) * grid.lanes + perm[k2];
                 word &= word - 1;

@@ -23,9 +23,9 @@
  * head sits at that step, so pass 1 is word operations; the window
  * tail's target (the earliest pending step) is a forward-only cursor.
  *
- * An optional per-step cost vector charges a step that stands for
- * several raw operand steps (a compressed stream entry) at its raw
- * streaming cost.
+ * An optional per-step cost vector charges each step at a given
+ * streaming cost instead of 1.  No caller in src/ passes one; only the
+ * engine's tests do.
  */
 
 #ifndef GRIFFIN_SCHED_WINDOW_SCHEDULER_HH
@@ -59,8 +59,10 @@ ScheduleResult runWindowSchedule(
 /**
  * One period of the shuffler's lane map, allocated in `arena`: entry
  * (k1 % shuffler.period()) * lanes + k2 is shuffler.apply(k1, k2).
+ * Dies unless the shuffler is `lanes` wide.
  */
-const int *shuffleTable(const Shuffler &shuffler, Arena &arena);
+const int *shuffleTable(const Shuffler &shuffler, int lanes,
+                        Arena &arena);
 
 /**
  * Pending bitmaps of a single-sparse tile, allocated in `arena`.  Bit u

@@ -80,8 +80,9 @@ struct ComputeStage
 
 /** Stage 2+3, SparsityMode::B: schedules depend only on B — count the
  *  packing of (a subset of) column tiles and multiply by the row-tile
- *  count.  Counting is cheaper than hashing a tile for a memo lookup,
- *  so this mode never touches the schedule memo. */
+ *  count.  Few tiles of a sweep repeat, so a memo lookup (hash, plus a
+ *  stored stream per miss) would cost more than it saves: this mode
+ *  never touches the schedule memo. */
 void
 simulateSparseB(const ComputeStage &stage, GemmSimResult &result)
 {

@@ -271,6 +271,25 @@ TEST(WindowSchedulerDeathTest, QueuePushValidation)
     EXPECT_DEATH(q.push(1, 0, 0, 0), "increasing step order");
 }
 
+TEST(WindowSchedulerDeathTest, ShufflerNarrowerThanTilePanics)
+{
+    Rng rng(83);
+    const TileShape shape{4, 16, 16};
+    auto a = randomSparse(4, 128, 0.5, rng);
+    auto b = randomSparse(128, 16, 0.5, rng);
+    TileViewA va(a, shape, 0);
+    TileViewB vb(b, shape, 0);
+    Shuffler narrow(true, 8);
+    const auto cfg = RoutingConfig::sparseAB(2, 0, 0, 2, 0, 1, true,
+                                             /*preprocess_b=*/false);
+    EXPECT_DEATH(scheduleDual(va, vb, cfg, narrow, nullptr, 4.0, false),
+                 "shuffler is 8 lanes wide, tile 16");
+    EXPECT_DEATH(scheduleA(va, Borrow{2, 0, 0}, narrow, 3.0, false),
+                 "shuffler is 8 lanes wide, tile 16");
+    EXPECT_DEATH(countB(vb, Borrow{2, 0, 0}, narrow),
+                 "shuffler is 8 lanes wide, tile 16");
+}
+
 // ---- pinned schedules ------------------------------------------------
 //
 // Exact stats and op-sequence hashes of the engine on seeded grids,
