@@ -7,7 +7,7 @@
  *   ./bench_runner --archs Griffin,SparTen.AB --cats b,ab --threads 4
  *   ./bench_runner --grid "weight_lane_bias=0:1:0.25,seed=1..4"
  *   ./bench_runner --grid "arch=B(2,0,0,off),B(4,0,1,on),category=b"
- *   ./bench_runner --batch-archs false --workset-cache-file sweep.grfw
+ *   ./bench_runner --batch-archs false --workset-budget-mb 64
  *
  * --grid adds named RunOptions axes (weight_lane_bias,
  * act_run_length, sample_fraction, row_cap, seed, enforce_dram_bound)
@@ -18,13 +18,11 @@
  * the file alone.
  *
  * The merged results are bit-identical for any --threads value, with
- * or without --batch-archs.  --workset-cache-file persists generated
- * layer worksets between invocations (GRFW format,
- * runtime/cache_store.hh), so repeated runs skip operand generation
- * for every layer they have seen before.  --grid-shard i/n runs one
- * contiguous slice of the job list (n processes cover the grid
- * disjointly; tables are suppressed and the shards' --json .jsonl
- * files concatenate byte-identically to the unsharded run).  The
+ * or without --batch-archs, and for any --workset-budget-mb (the
+ * resident bound of the generated-operand cache).  --grid-shard i/n
+ * runs one contiguous slice of the job list (n processes cover the
+ * grid disjointly; tables are suppressed and the shards' --json
+ * .jsonl files concatenate byte-identically to the unsharded run).  The
  * registered paper experiments (griffin_bench) remain the curated
  * per-figure views, this one regenerates arbitrary grids.
  */
@@ -107,7 +105,7 @@ main(int argc, char **argv)
               "document)");
 
     WorksetCache worksets;
-    loadCachesFromFlags(cli, worksets);
+    applyCacheFlags(cli, worksets);
 
     const int threads = static_cast<int>(cli.getInt("threads"));
     const auto sweep = runSweep(spec, threads, &worksets);
@@ -178,9 +176,6 @@ main(int argc, char **argv)
            " misses (", Table::num(100.0 * cs.hitRate(), 1),
            "% hit rate)");
 
-    // Flush the sweep's primary output before the cache save: a
-    // fatal() on an unwritable cache path must not discard the
-    // completed results.
     if (!cli.getString("json").empty()) {
         ResultSink sink(cli.getString("json"));
         sink.add(sweep);
@@ -188,8 +183,5 @@ main(int argc, char **argv)
         inform("wrote ", sweep.results().size(), " results to ",
                cli.getString("json"));
     }
-
-    // Machine-readable cache counters land on stdout.
-    saveCachesFromFlags(cli, worksets);
     return 0;
 }

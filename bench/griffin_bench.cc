@@ -14,10 +14,11 @@
  * --rowcap, --seed, --lanebias; sample/rowcap default to the
  * experiment's tuned fidelity), parallelism (--threads), grid
  * overrides (--grid, applied over the experiment's own axes), batching
- * (--batch-archs, on by default), workset-cache persistence
- * (--workset-cache-file/--workset-budget-mb for generated operand
- * worksets), and output (--csv tables, --json table JSON Lines,
- * --out result-row document: .json/.csv/.jsonl by suffix).
+ * (--batch-archs, on by default), the workset-cache budget
+ * (--workset-budget-mb for generated operand worksets, shared by
+ * every experiment of one run), and output (--csv tables, --json
+ * table JSON Lines, --out result-row document: .json/.csv/.jsonl by
+ * suffix).
  *
  * Sharding: --grid-shard i/n slices every sweep's job list into
  * n contiguous blocks and runs block i, so n processes cover a grid
@@ -254,11 +255,6 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
         names.empty() && !kernels_mode ? perfSuite : names;
     for (const auto &name : suite)
         experimentOrDie(name);
-    // A loaded cache file would skip exactly the work being timed.
-    if (!cli.getString("workset-cache-file").empty())
-        fatal("perf times cold sweeps; --workset-cache-file would warm "
-              "them from disk (drop the flag)");
-
     ExperimentRunConfig config;
     config.threads = static_cast<int>(cli.getInt("threads"));
     config.batchArchs = cli.getBool("batch-archs");
@@ -282,7 +278,7 @@ runPerfSuite(const Cli &cli, const std::vector<std::string> &names)
         // describe each experiment's own reuse, not whatever the
         // previous suite entry happened to warm.
         WorksetCache worksets;
-        loadCachesFromFlags(cli, worksets);
+        applyCacheFlags(cli, worksets);
         config.worksetCache = &worksets;
         const auto outcome = runExperiment(exp, config);
         if (!outcome.hasSweep) {
@@ -559,7 +555,7 @@ main(int argc, char **argv)
               "document)");
 
     WorksetCache worksets;
-    loadCachesFromFlags(cli, worksets);
+    applyCacheFlags(cli, worksets);
     config.worksetCache = &worksets;
 
     TableEmitter emitter;
@@ -598,16 +594,10 @@ main(int argc, char **argv)
                trace_path);
     }
 
-    // Flush the results document before the cache save: a fatal() on
-    // an unwritable cache path must not discard completed sweeps.
     if (sink) {
         sink->flush();
         inform("wrote ", sink->rows().size(), " result rows to ",
                cli.getString("out"));
     }
-
-    // Machine-readable cache counters land on stdout: CI and the
-    // cache ctests assert warm runs report load_hits > 0.
-    saveCachesFromFlags(cli, worksets);
     return 0;
 }

@@ -1,12 +1,9 @@
 #include "runtime/experiment.hh"
 
 #include <algorithm>
-#include <iostream>
 
 #include "common/logging.hh"
 #include "common/strings.hh"
-#include "runtime/cache_store.hh"
-#include "runtime/result_sink.hh"
 
 namespace griffin {
 
@@ -284,9 +281,6 @@ resolveFidelity(const Cli &cli, double default_sample,
 void
 addCacheFlags(Cli &cli)
 {
-    cli.addString("workset-cache-file", "",
-                  "persist generated layer worksets to this GRFW file "
-                  "(loaded before the run, saved after)");
     cli.addInt("workset-budget-mb",
                static_cast<std::int64_t>(defaultWorksetByteBudget >>
                                          20),
@@ -296,7 +290,7 @@ addCacheFlags(Cli &cli)
 }
 
 void
-loadCachesFromFlags(const Cli &cli, WorksetCache &worksets)
+applyCacheFlags(const Cli &cli, WorksetCache &worksets)
 {
     const auto budget_mb = cli.getInt("workset-budget-mb");
     if (budget_mb < 0)
@@ -305,25 +299,6 @@ loadCachesFromFlags(const Cli &cli, WorksetCache &worksets)
     if (budget_mb > 0)
         worksets.setByteBudget(static_cast<std::uint64_t>(budget_mb)
                                << 20);
-
-    const auto workset_path = cli.getString("workset-cache-file");
-    if (!workset_path.empty())
-        inform("workset cache: loaded ",
-               loadWorksetCacheFile(workset_path, worksets),
-               " entries from ", workset_path);
-}
-
-void
-saveCachesFromFlags(const Cli &cli, const WorksetCache &worksets)
-{
-    const auto workset_path = cli.getString("workset-cache-file");
-    if (!workset_path.empty()) {
-        inform("workset cache: stored ",
-               saveWorksetCacheFile(workset_path, worksets),
-               " entries to ", workset_path);
-        writeCacheStatsJsonLine(std::cout, worksets.stats(),
-                                "workset_cache_stats");
-    }
 }
 
 void

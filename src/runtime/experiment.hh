@@ -11,11 +11,11 @@
  *   - `setup` builds an ExperimentPlan — a GridSpec plus the base
  *     SweepSpec it expands over — from the resolved RunOptions.  The
  *     driver expands the plan and executes it through runSweep, so
- *     every registered experiment is parallel (`--threads`), cache-
- *     aware (`--workset-cache-file`), and shardable across processes
- *     (`--grid-shard i/n`) for free.  A null setup declares a
- *     render-only experiment (the static paper tables) that runs no
- *     sweep.
+ *     every registered experiment is parallel (`--threads`), shares
+ *     generated operands (`--workset-budget-mb`), and is shardable
+ *     across processes (`--grid-shard i/n`) for free.  A null setup
+ *     declares a render-only experiment (the static paper tables)
+ *     that runs no sweep.
  *
  *   - `render` reduces the merged SweepResult into the experiment's
  *     Table(s).  SweepResult::slice plus the ExperimentContext geomean
@@ -227,26 +227,16 @@ void parseShardSpec(const std::string &text, std::size_t &index,
                     std::size_t &count);
 
 /**
- * Declare the shared workset-cache flags (--workset-cache-file,
- * --workset-budget-mb), the same set for every sweep driver.
+ * Declare the shared workset-cache flag (--workset-budget-mb), the
+ * same for every sweep driver.
  */
 void addCacheFlags(Cli &cli);
 
 /**
- * Read the cache flags back: validate and apply the byte budget and
- * load the cache file, if any, into the caller's cache (inform() on
- * load).  fatal() on a negative budget.
+ * Read the cache flag back: validate the byte budget and apply it to
+ * the caller's cache.  fatal() on a negative budget.
  */
-void loadCachesFromFlags(const Cli &cli, WorksetCache &worksets);
-
-/**
- * The save half: store the cache to its flagged file (when given) and
- * print its machine-readable "workset_cache_stats" line on stdout —
- * the line CI and the cache ctests assert warm-run load_hits on.  Call
- * after flushing result sinks: a fatal() on an unwritable cache path
- * must not discard completed sweeps.
- */
-void saveCachesFromFlags(const Cli &cli, const WorksetCache &worksets);
+void applyCacheFlags(const Cli &cli, WorksetCache &worksets);
 
 } // namespace griffin
 

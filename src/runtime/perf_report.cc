@@ -18,9 +18,7 @@ writeCacheObject(std::ostream &os, const CacheStats &stats)
        << ", \"hit_rate\": " << jsonNumber(stats.hitRate())
        << ", \"entries\": " << stats.entries
        << ", \"resident_bytes\": " << stats.residentBytes
-       << ", \"evictions\": " << stats.evictions
-       << ", \"loaded_entries\": " << stats.loadedEntries
-       << ", \"load_hits\": " << stats.loadHits << "}";
+       << ", \"evictions\": " << stats.evictions << "}";
 }
 
 } // namespace
@@ -164,11 +162,7 @@ parseCacheObject(const JsonValue &obj, const char *where,
            requireUint(obj, "entries", where, into.entries, error) &&
            requireUint(obj, "resident_bytes", where, into.residentBytes,
                        error) &&
-           requireUint(obj, "evictions", where, into.evictions,
-                       error) &&
-           requireUint(obj, "loaded_entries", where, into.loadedEntries,
-                       error) &&
-           requireUint(obj, "load_hits", where, into.loadHits, error);
+           requireUint(obj, "evictions", where, into.evictions, error);
 }
 
 } // namespace

@@ -28,17 +28,18 @@
 #include <vector>
 
 #include "common/table.hh"
-#include "runtime/content_cache.hh"
+#include "runtime/cache_key.hh"
 
 namespace griffin {
 
 constexpr const char *perfSchemaName = "griffin_bench_perf";
 /** v2 added the optional "kernels" micro-benchmark section
  *  (`griffin_bench perf --kernels`); v3 dropped the always-empty
- *  "caches.a_schedule" record.  v1 and v2 documents still parse (any
- *  "a_schedule" record is ignored), so historical seeds keep working
- *  as compare inputs. */
-constexpr int perfSchemaVersion = 3;
+ *  "caches.a_schedule" record; v4 dropped the always-zero
+ *  "loaded_entries"/"load_hits" cache fields.  Older documents still
+ *  parse (those records and fields are ignored), so historical seeds
+ *  keep working as compare inputs. */
+constexpr int perfSchemaVersion = 4;
 
 /** One pipeline stage's merged wall-time total within one entry. */
 struct PerfStage

@@ -123,15 +123,6 @@ void writeJsonLines(std::ostream &os, const SweepResult &sweep);
 /** One Table as a single-line JSON object (for JSON Lines streams). */
 void writeTableJsonLine(std::ostream &os, const Table &table);
 
-/**
- * Content-cache counters as a single-line JSON object
- * ({"<label>": {...}}), load/store accounting included — the
- * machine-readable form of the hit-rate status line the sweep drivers
- * print (the workset cache's is "workset_cache_stats").
- */
-void writeCacheStatsJsonLine(std::ostream &os, const CacheStats &stats,
-                             const std::string &label);
-
 class MetricsRegistry;
 
 /**

@@ -260,7 +260,7 @@ std::vector<SweepJob> expandSweep(const SweepSpec &spec);
 /**
  * Run the sweep on `threads` workers (1 = serial through the same
  * code path).  A workset cache is shared across jobs; pass `worksets`
- * to reuse one across sweeps (or for disk persistence), or nullptr
+ * to reuse one across sweeps, or nullptr
  * for a per-sweep cache bounded at defaultWorksetByteBudget, so a
  * sweep never retains unbounded generated tensors.  Every sub-job
  * owns a fresh B-schedule memo.  Both are optimizations only: the

@@ -29,7 +29,7 @@
 #include <memory>
 #include <unordered_map>
 
-#include "runtime/content_cache.hh"
+#include "runtime/cache_key.hh"
 #include "sched/b_preprocess.hh"
 
 namespace griffin {

@@ -254,10 +254,6 @@ MetricsRegistry::publishCacheStats(const std::string &prefix,
         .set(static_cast<double>(stats.residentBytes));
     gauge(prefix + ".evictions")
         .set(static_cast<double>(stats.evictions));
-    gauge(prefix + ".loaded_entries")
-        .set(static_cast<double>(stats.loadedEntries));
-    gauge(prefix + ".load_hits")
-        .set(static_cast<double>(stats.loadHits));
 }
 
 void

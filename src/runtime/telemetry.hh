@@ -7,7 +7,7 @@
  *   - MetricsRegistry: named counters, gauges, and histograms behind
  *     stable references.  The runner publishes its previously ad-hoc
  *     stats here once per sweep — schedule-memo and workset-cache
- *     counters (content_cache.hh CacheStats), thread-pool
+ *     counters (cache_key.hh CacheStats), thread-pool
  *     steal/execution totals, jobs-per-second and utilization — so
  *     every consumer (the `--stats` JSON line, `griffin_bench perf`)
  *     reads one source of truth instead of scraping driver stdout.
@@ -49,7 +49,7 @@
 #include <vector>
 
 #include "common/mutex.hh"
-#include "runtime/content_cache.hh"
+#include "runtime/cache_key.hh"
 
 namespace griffin {
 
@@ -179,8 +179,7 @@ class MetricsRegistry
     /** Every registered metric, sorted by name. */
     std::vector<MetricSnapshot> snapshot() const;
 
-    /** Gauge the full CacheStats record under "<prefix>.<field>" —
-     *  the registry form of writeCacheStatsJsonLine's object. */
+    /** Gauge the full CacheStats record under "<prefix>.<field>". */
     void publishCacheStats(const std::string &prefix,
                            const CacheStats &stats);
 

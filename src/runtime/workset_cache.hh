@@ -10,24 +10,29 @@
  * touches.  The monolithic simulator regenerated them per job; this
  * cache keys the workset by a 128-bit content hash of exactly those
  * parameters (WorksetCache::contentKey) and shares one immutable
- * LayerWorkset across every job that asks.
+ * LayerWorkset across every job that asks — and, when a driver passes
+ * one cache to several sweeps, across the experiments of one run.
  *
- * Built on the cache policy of content_cache.hh — sharded maps,
- * compute-outside-the-lock generation, FIFO byte budget, load/hit
- * stats.  Worksets can be large (B is a full k x n weight matrix), so
- * bounded deployments should set a byte budget; eviction never changes
- * a result, only regeneration cost.
- *
- * Persistence: cache_store.hh serializes worksets to a versioned GRFW
- * file between runs; entries restored from disk are tracked separately
- * (Stats::loadedEntries / loadHits) so a warm run can report how much
- * generation the file actually skipped.
+ * One map behind one mutex.  A miss generates *outside* the lock
+ * (generation takes milliseconds; holding the lock would serialise the
+ * pool) and the first finisher wins — generation is deterministic, so
+ * concurrent double-generates insert equal worksets.  Worksets can be
+ * large (B is a full k x n weight matrix), so bounded deployments set
+ * a byte budget, enforced by evicting the oldest insertion first.
+ * Eviction only drops the cache's reference, never a caller's, and
+ * never changes a result — only the regeneration cost.
  */
 
 #ifndef GRIFFIN_RUNTIME_WORKSET_CACHE_HH
 #define GRIFFIN_RUNTIME_WORKSET_CACHE_HH
 
-#include "runtime/content_cache.hh"
+#include <cstdint>
+#include <deque>
+#include <memory>
+#include <unordered_map>
+
+#include "common/mutex.hh"
+#include "runtime/cache_key.hh"
 #include "tensor/workset.hh"
 
 namespace griffin {
@@ -40,66 +45,53 @@ namespace griffin {
  */
 constexpr std::uint64_t defaultWorksetByteBudget = 256ull << 20;
 
-/**
- * Shard count sized to the budget: worksets are large, so the
- * per-shard slice of a byte budget must stay bigger than one entry or
- * big-layer worksets evict on insert.
- */
-constexpr std::size_t defaultWorksetShards = 4;
-
 class WorksetCache
 {
   public:
     using Key = CacheKey128;
     using Stats = CacheStats;
 
-    explicit WorksetCache(std::size_t shards = defaultWorksetShards)
-        : cache_(shards)
-    {
-    }
-
     /**
      * The workset of one parameter record, generated on first request
      * and shared afterwards.  The returned workset is immutable and
      * outlives the cache entry (shared ownership), so callers may hold
-     * it across clear() or eviction.
+     * it across eviction.
      */
     std::shared_ptr<const LayerWorkset>
     obtain(const WorksetParams &params);
 
-    Stats stats() const { return cache_.stats(); }
-    void clear() { cache_.clear(); }
-    void setByteBudget(std::uint64_t bytes)
-    {
-        cache_.setByteBudget(bytes);
-    }
-
-    /** Insert a disk-restored workset (see ContentCache::insertLoaded). */
-    bool
-    insertLoaded(const Key &key, LayerWorkset workset)
-    {
-        return cache_.insertLoaded(key, std::move(workset));
-    }
-
-    /** Visit every resident entry (see ContentCache::forEachEntry). */
-    void
-    forEachEntry(const std::function<void(
-                     const Key &,
-                     const std::shared_ptr<const LayerWorkset> &)> &fn)
-        const
-    {
-        cache_.forEachEntry(fn);
-    }
+    Stats stats() const;
 
     /**
-     * The key of one workset: every WorksetParams field, doubles by
-     * bit pattern.  Part of the persistent cache-file contract
-     * (cache_store.hh): changing it requires a GRFW version bump.
+     * Cap resident workset bytes (0 = unbounded, the default): once
+     * the cache holds more, it evicts oldest insertion first.  Applies
+     * immediately to current residents and to every later insert.
      */
+    void setByteBudget(std::uint64_t bytes);
+
+    /** The key of one workset: every WorksetParams field, doubles by
+     *  bit pattern. */
     static Key contentKey(const WorksetParams &params);
 
   private:
-    ContentCache<LayerWorkset> cache_;
+    struct Entry
+    {
+        std::shared_ptr<const LayerWorkset> value;
+        std::uint64_t bytes = 0;
+    };
+
+    void evictOverBudget() GRIFFIN_REQUIRES(mu_);
+
+    mutable Mutex mu_;
+    std::unordered_map<Key, Entry, CacheKey128Hash> entries_
+        GRIFFIN_GUARDED_BY(mu_);
+    /** Insertion order, for eviction. */
+    std::deque<Key> fifo_ GRIFFIN_GUARDED_BY(mu_);
+    std::uint64_t bytes_ GRIFFIN_GUARDED_BY(mu_) = 0;
+    std::uint64_t budget_ GRIFFIN_GUARDED_BY(mu_) = 0;
+    std::uint64_t hits_ GRIFFIN_GUARDED_BY(mu_) = 0;
+    std::uint64_t misses_ GRIFFIN_GUARDED_BY(mu_) = 0;
+    std::uint64_t evictions_ GRIFFIN_GUARDED_BY(mu_) = 0;
 };
 
 /**

@@ -18,7 +18,7 @@ hasBit(const std::uint64_t *m, std::int64_t s)
 
 ScheduleResult
 runWindowSchedule(const PendingSteps &pending, const BorrowWindow &window,
-                  bool record, const std::vector<std::int64_t> *step_costs)
+                  bool record)
 {
     const SlotGrid &grid = pending.grid;
     GRIFFIN_ASSERT(window.steps >= 1, "window of ", window.steps,
@@ -29,17 +29,6 @@ runWindowSchedule(const PendingSteps &pending, const BorrowWindow &window,
                    "budget ceiling below one step cost");
     GRIFFIN_ASSERT(window.laneDist >= 0 && window.rowDist >= 0 &&
                    window.colDist >= 0, "negative borrow distance");
-    if (step_costs != nullptr) {
-        GRIFFIN_ASSERT(
-            static_cast<std::int64_t>(step_costs->size()) == grid.steps,
-            "step cost vector size ", step_costs->size(),
-            " != steps ", grid.steps);
-        for (auto c : *step_costs)
-            GRIFFIN_ASSERT(c >= 0 && static_cast<double>(c) <=
-                           window.budgetCeiling,
-                           "step cost ", c, " exceeds buffer capacity ",
-                           window.budgetCeiling);
-    }
 
     const std::int64_t nslots = grid.slots();
     const int words = grid.slotWords();
@@ -120,17 +109,11 @@ runWindowSchedule(const PendingSteps &pending, const BorrowWindow &window,
     double budget = 0.0;
 
     // Advancing the window base from w to w+1 brings step w+W into
-    // residence; that is the data that must stream in.  Past the end
-    // of the grid nothing enters, so draining the tail is free.
+    // residence; that is the data that must stream in, one step cost.
+    // Past the end of the grid nothing enters, so draining the tail is
+    // free.
     auto entering_cost = [&](std::int64_t base) -> double {
-        const std::int64_t entering = base + window.steps;
-        if (entering >= grid.steps)
-            return 0.0;
-        return step_costs == nullptr
-                   ? 1.0
-                   : static_cast<double>((
-                         *step_costs)[static_cast<std::size_t>(
-                         entering)]);
+        return base + window.steps < grid.steps ? 1.0 : 0.0;
     };
 
     struct Coord
@@ -286,8 +269,7 @@ runWindowSchedule(const PendingSteps &pending, const BorrowWindow &window,
 
 ScheduleResult
 runWindowSchedule(const SlotQueues &queues, const BorrowWindow &window,
-                  bool record,
-                  const std::vector<std::int64_t> *step_costs)
+                  bool record)
 {
     Arena &arena = workArena();
     ArenaScope scope(arena);
@@ -296,7 +278,7 @@ runWindowSchedule(const SlotQueues &queues, const BorrowWindow &window,
     pending.grid = queues.grid();
     pending.bits = arena.alloc<std::uint64_t>(bits.size());
     std::copy(bits.begin(), bits.end(), pending.bits);
-    return runWindowSchedule(pending, window, record, step_costs);
+    return runWindowSchedule(pending, window, record);
 }
 
 const int *

@@ -22,10 +22,6 @@
  * the window's steps in order, `pend & ~seen` is the set of slots whose
  * head sits at that step, so pass 1 is word operations; the window
  * tail's target (the earliest pending step) is a forward-only cursor.
- *
- * An optional per-step cost vector charges each step at a given
- * streaming cost instead of 1.  No caller in src/ passes one; only the
- * engine's tests do.
  */
 
 #ifndef GRIFFIN_SCHED_WINDOW_SCHEDULER_HH
@@ -44,17 +40,13 @@ namespace griffin {
  *                   consumed (every bit is clear on return)
  * @param window     borrow window and bandwidth parameters
  * @param record     when true, every executed op lands in result.ops
- * @param step_costs optional cost to stream past each step (default 1
- *                   each); size must equal grid.steps when given
  */
-ScheduleResult runWindowSchedule(
-    const PendingSteps &pending, const BorrowWindow &window, bool record,
-    const std::vector<std::int64_t> *step_costs = nullptr);
+ScheduleResult runWindowSchedule(const PendingSteps &pending,
+                                 const BorrowWindow &window, bool record);
 
 /** The same engine over an owning SlotQueues (left unchanged). */
-ScheduleResult runWindowSchedule(
-    const SlotQueues &queues, const BorrowWindow &window, bool record,
-    const std::vector<std::int64_t> *step_costs = nullptr);
+ScheduleResult runWindowSchedule(const SlotQueues &queues,
+                                 const BorrowWindow &window, bool record);
 
 /**
  * One period of the shuffler's lane map, allocated in `arena`: entry

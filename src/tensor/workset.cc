@@ -1,10 +1,6 @@
 #include "tensor/workset.hh"
 
-#include <istream>
-#include <ostream>
-
 #include "common/arena.hh"
-#include "common/binio.hh"
 #include "common/rng.hh"
 #include "simd/occupancy.hh"
 #include "tensor/sparsity.hh"
@@ -65,69 +61,6 @@ generateLayerWorkset(const WorksetParams &params)
     ws.effectualOps = countEffectualOps(ws.a, ws.b);
     ws.nnzB = static_cast<std::int64_t>(ws.b.nnz());
     return ws;
-}
-
-namespace {
-
-void
-putMatrix(std::ostream &os, const MatrixI8 &m)
-{
-    putU64(os, static_cast<std::uint64_t>(m.rows()));
-    putU64(os, static_cast<std::uint64_t>(m.cols()));
-    os.write(reinterpret_cast<const char *>(m.data()),
-             static_cast<std::streamsize>(m.size()));
-}
-
-bool
-getMatrix(std::istream &is, MatrixI8 &m)
-{
-    std::uint64_t rows = 0;
-    std::uint64_t cols = 0;
-    if (!getU64(is, rows) || !getU64(is, cols))
-        return false;
-    // Reject absurd geometry before allocating: a corrupt header must
-    // not become a multi-gigabyte allocation (overflow-safe — the
-    // product of two large dims must not wrap past the check).  Real
-    // worksets are a row-capped A slice and one layer's weight matrix;
-    // the largest benchmark layer is ~4e7 elements, so 2^28 is
-    // generous while keeping a corrupt header's demand under 256 MiB.
-    constexpr std::uint64_t elem_limit = 1ull << 28;
-    if (rows > elem_limit || cols > elem_limit ||
-        (rows != 0 && cols > elem_limit / rows))
-        return false;
-    MatrixI8 fresh(static_cast<std::size_t>(rows),
-                   static_cast<std::size_t>(cols));
-    if (!is.read(reinterpret_cast<char *>(fresh.data()),
-                 static_cast<std::streamsize>(fresh.size())))
-        return false;
-    m = std::move(fresh);
-    return true;
-}
-
-} // namespace
-
-void
-LayerWorkset::serialize(std::ostream &os) const
-{
-    putMatrix(os, a);
-    putMatrix(os, b);
-    putU64(os, simSeed);
-    putI64(os, effectualOps);
-    putI64(os, nnzB);
-}
-
-bool
-LayerWorkset::deserialize(std::istream &is, LayerWorkset &out)
-{
-    LayerWorkset ws;
-    if (!getMatrix(is, ws.a) || !getMatrix(is, ws.b) ||
-        !getU64(is, ws.simSeed) || !getI64(is, ws.effectualOps) ||
-        !getI64(is, ws.nnzB))
-        return false;
-    if (ws.a.cols() != ws.b.rows())
-        return false; // structurally inconsistent
-    out = std::move(ws);
-    return true;
 }
 
 } // namespace griffin

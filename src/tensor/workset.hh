@@ -23,7 +23,6 @@
 #define GRIFFIN_TENSOR_WORKSET_HH
 
 #include <cstdint>
-#include <iosfwd>
 
 #include "tensor/matrix.hh"
 
@@ -74,21 +73,6 @@ struct LayerWorkset
     {
         return a.size() + b.size() + sizeof(LayerWorkset);
     }
-
-    /**
-     * Fixed-width little-endian binary form (common/binio.hh units):
-     * both matrix geometries and raw element bytes, then the derived
-     * seed and statistics.  deserialize() reproduces a bit-identical
-     * workset on any platform.
-     */
-    void serialize(std::ostream &os) const;
-
-    /**
-     * Read one serialize()d workset.  Returns false (leaving `out`
-     * unspecified) on truncated or structurally inconsistent input —
-     * callers treat that as a corrupt cache file, not a fatal error.
-     */
-    static bool deserialize(std::istream &is, LayerWorkset &out);
 };
 
 /** Count MACs where both operands are nonzero, in O(MK + KN). */

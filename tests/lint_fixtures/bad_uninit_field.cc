@@ -21,7 +21,7 @@ struct RowRecord
     void serialize(std::ostream &os) const;
 };
 
-// Reaches the GRFW encoder through a free function, so it carries the
+// Reaches an encoder through a free function, so it carries the
 // marker instead of a member:
 // griffin-lint: serialized
 struct MarkedRecord

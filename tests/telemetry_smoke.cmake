@@ -9,9 +9,8 @@
 #  (b) `run --timings` grows elapsed_ms fields; the default does not.
 #  (c) `perf` writes a BENCH_perf.json that `perf --compare` parses,
 #      schema-validates, and renders deltas for (self-compare: every
-#      delta is +0.0%); perf honours --workset-budget-mb, refuses
-#      --workset-cache-file, and `--gate` fails a kernels-only
-#      document.
+#      delta is +0.0%); perf honours --workset-budget-mb, and
+#      `--gate` fails a kernels-only document.
 #
 # Invoked as:
 #   cmake -DGRIFFIN_BENCH=<path> -DWORK_DIR=<dir> -P telemetry_smoke.cmake
@@ -122,17 +121,6 @@ string(REGEX MATCH "\"workset\": {[^}]*\"evictions\": ([0-9]+)"
 if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 EQUAL 0)
     message(FATAL_ERROR "--workset-budget-mb 1 left the perf run's "
                         "workset cache without evictions:\n${perf_doc}")
-endif()
-
-# A cache file would warm the very sweeps perf times: usage error.
-execute_process(
-    COMMAND "${GRIFFIN_BENCH}" perf fig6 ${fidelity}
-            --workset-cache-file "${WORK_DIR}/warm.grfw"
-            --out "${WORK_DIR}/warm_perf.json"
-    OUTPUT_VARIABLE out_cf ERROR_VARIABLE err_cf RESULT_VARIABLE rc_cf)
-if(NOT rc_cf EQUAL 2 OR NOT err_cf MATCHES "--workset-cache-file")
-    message(FATAL_ERROR "perf --workset-cache-file was not refused "
-                        "(${rc_cf}):\n${err_cf}")
 endif()
 
 execute_process(

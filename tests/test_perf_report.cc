@@ -1,8 +1,8 @@
 /**
  * @file
  * BENCH_perf.json schema: v2 "kernels" section round-trip, v3
- * without "caches.a_schedule", v1/v2 back-compat (historical seeds
- * keep parsing), strict rejection of
+ * without "caches.a_schedule", v4 without the cache load fields,
+ * v1-v3 back-compat (historical seeds keep parsing), strict rejection of
  * malformed sections, and the --gate checks: regression band,
  * missing experiments, and threads/fidelity mismatches.
  */
@@ -98,14 +98,15 @@ TEST(PerfReport, V1DocumentWithoutKernelsStillParses)
 
 /** A one-experiment perf document as JSON text; `extra_cache` is
  *  spliced into its "caches" object between "schedule" and
- *  "workset". */
+ *  "workset", and `extra_fields` into each cache record. */
 std::string
-handWrittenDocument(int version, const std::string &extra_cache)
+handWrittenDocument(int version, const std::string &extra_cache,
+                    const std::string &extra_fields = "")
 {
     const std::string cache =
         "{\"hits\": 3, \"misses\": 5, \"hit_rate\": 0.375, "
-        "\"entries\": 5, \"resident_bytes\": 640, \"evictions\": 0, "
-        "\"loaded_entries\": 0, \"load_hits\": 0}";
+        "\"entries\": 5, \"resident_bytes\": 640, \"evictions\": 0" +
+        extra_fields + "}";
     return "{\"schema\": \"griffin_bench_perf\", \"schema_version\": " +
            std::to_string(version) +
            ", \"threads\": 2, \"fidelity\": {\"sample\": 0.01, "
@@ -124,28 +125,54 @@ TEST(PerfReport, DocumentWithoutAScheduleParses)
     // the writer nor the parser may need it.
     PerfDocument back;
     std::string error;
-    ASSERT_TRUE(parsePerfDocument(handWrittenDocument(3, ""), back, error))
+    ASSERT_TRUE(parsePerfDocument(handWrittenDocument(4, ""), back, error))
+        << error;
+    EXPECT_EQ(back.schemaVersion, 4);
+    ASSERT_EQ(back.suite.size(), 1u);
+    EXPECT_EQ(back.suite[0].scheduleMemo.hits, 3u);
+    EXPECT_EQ(back.suite[0].worksetCache.residentBytes, 640u);
+    // Nor does either need the always-zero cache load fields v4
+    // dropped.
+    const std::string written = renderJson(sampleDocument());
+    EXPECT_EQ(written.find("a_schedule"), std::string::npos);
+    EXPECT_EQ(written.find("load_hits"), std::string::npos);
+    EXPECT_EQ(written.find("loaded_entries"), std::string::npos);
+}
+
+TEST(PerfReport, V3DocumentWithLoadFieldsStillParses)
+{
+    // Documents written before v4 carry the fields; they are read
+    // past, not rejected.
+    const std::string load_fields =
+        ", \"loaded_entries\": 0, \"load_hits\": 0";
+    PerfDocument back;
+    std::string error;
+    ASSERT_TRUE(parsePerfDocument(handWrittenDocument(3, "", load_fields),
+                                  back, error))
         << error;
     EXPECT_EQ(back.schemaVersion, 3);
     ASSERT_EQ(back.suite.size(), 1u);
     EXPECT_EQ(back.suite[0].scheduleMemo.hits, 3u);
+    EXPECT_EQ(back.suite[0].worksetCache.evictions, 0u);
     EXPECT_EQ(back.suite[0].worksetCache.residentBytes, 640u);
-    EXPECT_EQ(renderJson(sampleDocument()).find("a_schedule"),
-              std::string::npos);
 }
 
 TEST(PerfReport, V2DocumentWithAScheduleStillParses)
 {
     // bench/baselines/BENCH_perf_seed.json-era documents carry the
-    // record; it is read past, not rejected.
+    // record and the cache load fields; both are read past, not
+    // rejected.
+    const std::string load_fields =
+        ", \"loaded_entries\": 0, \"load_hits\": 0";
     const std::string a_schedule =
         "\"a_schedule\": {\"hits\": 0, \"misses\": 6094, "
         "\"hit_rate\": 0, \"entries\": 6094, \"resident_bytes\": 1, "
-        "\"evictions\": 0, \"loaded_entries\": 0, \"load_hits\": 0}, ";
+        "\"evictions\": 0" + load_fields + "}, ";
     PerfDocument back;
     std::string error;
-    ASSERT_TRUE(parsePerfDocument(handWrittenDocument(2, a_schedule),
-                                  back, error))
+    ASSERT_TRUE(parsePerfDocument(
+                    handWrittenDocument(2, a_schedule, load_fields),
+                    back, error))
         << error;
     EXPECT_EQ(back.schemaVersion, 2);
     ASSERT_EQ(back.suite.size(), 1u);

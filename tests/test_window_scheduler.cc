@@ -196,25 +196,6 @@ TEST(WindowScheduler, FractionalBandwidthAccumulates)
     EXPECT_LE(result.stats.cycles, 21);
 }
 
-TEST(WindowScheduler, StepCostsChargeRawBandwidth)
-{
-    // Two "compressed" steps, the second costing 5 raw steps.  With
-    // 1 raw step/cycle bandwidth the scheduler must idle ~4 cycles
-    // before consuming the second element.
-    SlotGrid grid{2, 1, 1, 1};
-    SlotQueues q(grid);
-    q.push(0, 0, 0, 0);
-    q.push(1, 0, 0, 0);
-    std::vector<std::int64_t> costs{1, 5};
-    auto w = window(1);
-    w.advanceCap = 1.0;
-    w.budgetCeiling = 5.0;
-    auto cheap = runWindowSchedule(q, w, false, nullptr);
-    EXPECT_EQ(cheap.stats.cycles, 2);
-    auto costly = runWindowSchedule(q, w, false, &costs);
-    EXPECT_GE(costly.stats.cycles, 5);
-}
-
 TEST(WindowScheduler, RecordsOpsExactlyWhenAsked)
 {
     SlotGrid grid{4, 2, 1, 1};
@@ -255,10 +236,6 @@ TEST(WindowSchedulerDeathTest, InvalidParametersPanic)
     w = window(2);
     w.advanceCap = 0.0;
     EXPECT_DEATH(runWindowSchedule(q, w, false), "advance cap");
-    w = window(2);
-    std::vector<std::int64_t> bad_costs{1, 1, 1}; // size mismatch
-    EXPECT_DEATH(runWindowSchedule(q, w, false, &bad_costs),
-                 "cost vector size");
 }
 
 TEST(WindowSchedulerDeathTest, QueuePushValidation)
@@ -358,7 +335,7 @@ expectStats(const ScheduleStats &got, const ScheduleStats &want)
 }
 
 /** A raw slot grid with seeded occupancy, run straight through the
- *  engine — the only callers of per-step costs. */
+ *  engine. */
 struct QueuePin
 {
     const char *name;
@@ -366,27 +343,22 @@ struct QueuePin
     SlotGrid grid;
     double density;      ///< chance a (step, slot) holds an element
     BorrowWindow window;
-    std::int64_t maxCost; ///< step costs drawn from [0, maxCost]; 0 = none
     ScheduleStats stats;
     std::uint64_t opsHash;
 };
 
 // Columns: name, seed, grid {steps, lanes, rows, cols}, density,
-// window {steps, lane, row, col, advanceCap, budgetCeiling}, max step
-// cost, stats {cycles, ops, own, stolen, idle, bwLimited}, op hash.
+// window {steps, lane, row, col, advanceCap, budgetCeiling}, stats
+// {cycles, ops, own, stolen, idle, bwLimited}, op hash.
 const QueuePin kQueuePins[] = {
-    {"q_plain", 201, {60, 4, 1, 1}, 0.4, {3, 0, 0, 0, 3.0, 3.0}, 0,
+    {"q_plain", 201, {60, 4, 1, 1}, 0.4, {3, 0, 0, 0, 3.0, 3.0},
      {34, 91, 91, 0, 45, 0}, 0x5641e089e7a73a39ull},
-    {"q_steal_3d", 202, {50, 4, 3, 7}, 0.35, {3, 1, 1, 1, 3.0, 3.0}, 0,
+    {"q_steal_3d", 202, {50, 4, 3, 7}, 0.35, {3, 1, 1, 1, 3.0, 3.0},
      {29, 1472, 1287, 185, 964, 0}, 0xeb88dc5f0f46fe3bull},
-    {"q_frac_cap", 203, {80, 4, 2, 2}, 0.2, {4, 1, 0, 1, 1.5, 4.0}, 0,
+    {"q_frac_cap", 203, {80, 4, 2, 2}, 0.2, {4, 1, 0, 1, 1.5, 4.0},
      {52, 245, 233, 12, 587, 50}, 0xfc85ec3648ce783full},
-    {"q_costs", 204, {70, 8, 2, 5}, 0.3, {3, 2, 1, 0, 2.5, 6.0}, 6,
-     {74, 1686, 1546, 140, 4234, 62}, 0xc52564597f7bc88full},
-    {"q_costs_frac", 205, {90, 16, 1, 4}, 0.15, {5, 1, 0, 2, 0.75, 5.0},
-     5, {298, 854, 824, 30, 18218, 296}, 0xbed28b62977c329eull},
     {"q_sparse_tail", 206, {120, 4, 4, 5}, 0.05, {2, 0, 1, 1, 2.0, 2.0},
-     0, {62, 459, 451, 8, 4501, 0}, 0xbee34ffab36685c5ull},
+     {62, 459, 451, 8, 4501, 0}, 0xbee34ffab36685c5ull},
 };
 
 ScheduleResult
@@ -400,11 +372,7 @@ runQueuePin(const QueuePin &pin, bool record)
                 for (int l = 0; l < pin.grid.lanes; ++l)
                     if (rng.bernoulli(pin.density))
                         q.push(s, l, r, c);
-    std::vector<std::int64_t> costs;
-    for (std::int64_t s = 0; pin.maxCost > 0 && s < pin.grid.steps; ++s)
-        costs.push_back(rng.uniformInt(0, pin.maxCost));
-    return runWindowSchedule(q, pin.window, record,
-                             costs.empty() ? nullptr : &costs);
+    return runWindowSchedule(q, pin.window, record);
 }
 
 TEST(WindowSchedulerPinned, QueueGridsMatchRecordedValues)
@@ -630,13 +598,11 @@ TEST(WindowSchedulerPinned, MatrixCoversTheEngineBranches)
     // A pin only guards what it exercises: stealing and bandwidth
     // limits on every caller, every B window depth 0..6, shuffle both
     // ways, multi-word and partial-word slot sets.
-    bool q_costs = false, q_frac = false, q_multi = false;
+    bool q_frac = false, q_multi = false;
     for (const auto &pin : kQueuePins) {
-        q_costs |= pin.maxCost > 0 && pin.stats.bwLimitedCycles > 0;
         q_frac |= pin.window.advanceCap != std::floor(pin.window.advanceCap);
         q_multi |= pin.grid.slots() > 64 && pin.grid.slots() % 64 != 0;
     }
-    EXPECT_TRUE(q_costs);
     EXPECT_TRUE(q_frac);
     EXPECT_TRUE(q_multi);
 

@@ -3,19 +3,14 @@
  * Tests for the stage-1 pipeline artifact (tensor/workset.hh) and its
  * content-addressed cache (runtime/workset_cache.hh): generation
  * determinism, cold-vs-warm bit-identity through Accelerator::runLayer,
- * the shared cache policy (FIFO eviction under a byte budget, zero
- * budget, clear(), concurrent obtain), serialization round-trips, and
- * the stats surfaced through writeCacheStatsJsonLine.
+ * and the cache policy (one FIFO under a byte budget, zero budget,
+ * concurrent obtain).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "arch/presets.hh"
 #include "griffin/accelerator.hh"
-#include "runtime/cache_store.hh"
-#include "runtime/result_sink.hh"
 #include "runtime/thread_pool.hh"
 #include "runtime/workset_cache.hh"
 #include "workloads/network.hh"
@@ -127,7 +122,7 @@ TEST(Workset, ColdAndWarmRunLayerBitIdentical)
 
 TEST(Workset, EvictionUnderTinyBudgetStaysCorrect)
 {
-    WorksetCache cache(1); // one shard: the budget applies exactly
+    WorksetCache cache;
     const auto p1 = tinyParams(1);
     const auto p2 = tinyParams(2);
     const auto w1 = cache.obtain(p1);
@@ -146,67 +141,12 @@ TEST(Workset, EvictionUnderTinyBudgetStaysCorrect)
     expectWorksetEq(*w2, generateLayerWorkset(p2));
 }
 
-TEST(Workset, SerializeRoundTrips)
-{
-    const auto w = generateLayerWorkset(tinyParams());
-    std::stringstream ss;
-    w.serialize(ss);
-    LayerWorkset back;
-    ASSERT_TRUE(LayerWorkset::deserialize(ss, back));
-    expectWorksetEq(back, w);
-
-    // Truncated payloads are rejected, not trusted.
-    const auto bytes = ss.str();
-    std::stringstream truncated(bytes.substr(0, bytes.size() / 2));
-    LayerWorkset bad;
-    EXPECT_FALSE(LayerWorkset::deserialize(truncated, bad));
-}
-
-TEST(Workset, CacheFileRoundTripCountsLoadHits)
-{
-    const std::string path =
-        ::testing::TempDir() + "workset_roundtrip.grfw";
-    const auto p = tinyParams();
-    {
-        WorksetCache cache;
-        cache.obtain(p);
-        EXPECT_EQ(saveWorksetCacheFile(path, cache), 1u);
-    }
-    WorksetCache warm;
-    EXPECT_EQ(loadWorksetCacheFile(path, warm), 1u);
-    const auto w = warm.obtain(p);
-    expectWorksetEq(*w, generateLayerWorkset(p));
-    const auto stats = warm.stats();
-    EXPECT_EQ(stats.loadedEntries, 1u);
-    EXPECT_EQ(stats.loadHits, 1u);
-    EXPECT_EQ(stats.misses, 0u);
-}
-
-TEST(Workset, StatsSurfaceThroughJsonLine)
-{
-    WorksetCache cache(1);
-    const auto w1 = cache.obtain(tinyParams(1));
-    cache.setByteBudget(w1->approxBytes() + 16);
-    cache.obtain(tinyParams(2)); // evicts 1
-    cache.obtain(tinyParams(2)); // hit
-
-    std::ostringstream os;
-    writeCacheStatsJsonLine(os, cache.stats(), "workset_cache_stats");
-    const auto line = os.str();
-    EXPECT_NE(line.find("{\"workset_cache_stats\": {"),
-              std::string::npos);
-    EXPECT_NE(line.find("\"evictions\": 1"), std::string::npos);
-    EXPECT_NE(line.find("\"load_hits\": 0"), std::string::npos);
-    EXPECT_NE(line.find("\"hits\": 1"), std::string::npos);
-}
-
-// ---- cache policy (content_cache.hh) --------------------------------
+// ---- cache policy ---------------------------------------------------
 
 TEST(WorksetCache, ByteBudgetEvictsFifo)
 {
-    // One shard so the FIFO covers every entry, budget sized to hold
-    // two of the (equal-sized) worksets.
-    WorksetCache cache(1);
+    // Budget sized to hold two of the (equal-sized) worksets.
+    WorksetCache cache;
     const auto first = cache.obtain(tinyParams(1));
     const auto entry_bytes = first->approxBytes();
     const auto budget = 2 * entry_bytes + entry_bytes / 2;
@@ -232,25 +172,33 @@ TEST(WorksetCache, ByteBudgetEvictsFifo)
     expectWorksetEq(*first, *again);
 }
 
+TEST(WorksetCache, OneBudgetCoversEveryEntry)
+{
+    // One workset larger than a quarter of the budget but smaller than
+    // all of it stays resident: the whole budget is one FIFO, not a
+    // slice per hash shard.
+    WorksetCache cache;
+    const auto bytes = generateLayerWorkset(tinyParams()).approxBytes();
+    cache.setByteBudget(2 * bytes);
+    const auto first = cache.obtain(tinyParams());
+    const auto again = cache.obtain(tinyParams());
+    EXPECT_EQ(first.get(), again.get());
+    const auto s = cache.stats();
+    EXPECT_EQ(s.hits, 1u);
+    EXPECT_EQ(s.misses, 1u);
+    EXPECT_EQ(s.evictions, 0u);
+    EXPECT_EQ(s.entries, 1u);
+    EXPECT_EQ(s.residentBytes, bytes);
+}
+
 TEST(WorksetCache, ZeroBudgetIsUnbounded)
 {
-    WorksetCache cache(1);
+    WorksetCache cache;
     cache.setByteBudget(0);
     for (std::uint64_t seed = 1; seed <= 4; ++seed)
         cache.obtain(tinyParams(seed));
     EXPECT_EQ(cache.stats().entries, 4u);
     EXPECT_EQ(cache.stats().evictions, 0u);
-}
-
-TEST(WorksetCache, SharedEntriesSurviveClear)
-{
-    WorksetCache cache;
-    const auto held = cache.obtain(tinyParams());
-    cache.clear();
-    EXPECT_EQ(cache.stats().entries, 0u);
-    EXPECT_EQ(cache.stats().misses, 1u); // counters survive clear()
-    // Still alive through shared ownership.
-    expectWorksetEq(*held, generateLayerWorkset(tinyParams()));
 }
 
 TEST(WorksetCache, ConcurrentObtainIsConsistent)

@@ -53,7 +53,7 @@
  *     declares a serialize() member, or carries a
  *     "// griffin-lint: serialized" marker — must have a default
  *     initializer.  An uninitialized padding byte or field that lands
- *     in a GRFW file or JSONL row is a nondeterminism bug ASan
+ *     in a result row or perf document is a nondeterminism bug ASan
  *     cannot see.
  *
  * Suppressions: a finding is allowlisted by a comment on the same
